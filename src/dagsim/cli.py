@@ -26,6 +26,9 @@ log = logging.getLogger("dagsim")
 
 _CONFIG_KEYS = {f for f in SimConfig.__dataclass_fields__}
 
+# Options that write one run's artifacts; a seed sweep has no single run.
+_PER_RUN_OUTPUTS = ("ledger_csv", "dump_dag", "dump_order", "dump_stale", "event_log")
+
 
 def _setup_logging() -> None:
     level = os.environ.get("SIM_LOG", "WARNING").upper()
@@ -104,6 +107,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ConfigInvalid, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.seeds is not None:
+        clashing = ["--" + d.replace("_", "-") for d in _PER_RUN_OUTPUTS if getattr(args, d)]
+        if clashing:
+            print(
+                f"config error: {', '.join(clashing)} cannot be combined with --seeds; "
+                "per-run outputs need a single run",
+                file=sys.stderr,
+            )
+            return 2
 
     try:
         if args.seeds is not None:

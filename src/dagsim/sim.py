@@ -275,7 +275,6 @@ class Simulation:
         self.flags = _StaleFlags(self.dag, self.sidx, honest_miners)
 
         self.ledger = RewardLedger()
-        self._finalized_round: dict[int, int] = {}
 
         self._seq = 0
         self.mined_round: dict[int, int] = {}
@@ -467,13 +466,13 @@ class Simulation:
             player.awaiting.append(ix)
             return
         bid = dag.id_at(ix)
-        outcome = reward(dag, dag.id_at(tip), bid, self.params)
-        if bid in self.ledger.entries:
-            if self.config.check_invariants:
-                self.ledger.verify(bid, outcome)
-        else:
-            self.ledger.record(bid, dag.miner_of(ix), outcome, dag.id_at(tip), self._round)
-            self._finalized_round[ix] = self._round
+        tip_id = dag.id_at(tip)
+        # Judge the block only when the outcome is recorded or verified.
+        if bid not in self.ledger.entries:
+            outcome = reward(dag, tip_id, bid, self.params)
+            self.ledger.record(bid, dag.miner_of(ix), outcome, tip_id, self._round)
+        elif self.config.check_invariants:
+            self.ledger.verify(bid, reward(dag, tip_id, bid, self.params))
         player.done.add(ix)
 
     # -- mining phases ---------------------------------------------------------

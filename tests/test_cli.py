@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from dagsim.cli import main
 from dagsim.store import load_dag
 
@@ -104,6 +106,18 @@ class TestRunCommand:
         assert set(doc["aggregate"]["shares"]) == {"0", "1", "2", "3"}
         for stats in doc["aggregate"]["shares"].values():
             assert set(stats) == {"mean", "stdev"}
+
+    @pytest.mark.parametrize(
+        "flag", ["--dump-dag", "--dump-order", "--dump-stale", "--ledger-csv", "--event-log"]
+    )
+    def test_sweep_rejects_per_run_outputs(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, rounds=160)
+        target = tmp_path / "artifact"
+        code = main(["run", "--config", cfg, "--seeds", "2", "--workers", "1",
+                     "--out", str(tmp_path / "sweep.json"), flag, str(target)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not target.exists()
 
 
 class TestCheckCommand:

@@ -14,6 +14,7 @@ from dagsim.rewards import (
     finalize,
     reward,
 )
+from dagsim.sim import SimConfig, Simulation
 from dagsim.staleness import stale_set
 from dagsim.store import BlockDag
 
@@ -76,6 +77,30 @@ class TestConflictSet:
             if bid in stale:
                 continue
             assert conflict_set(dag, tip, bid, 3) == conflict_set_direct(dag, tip, bid, 3)
+
+    def test_simulated_dag_with_stale_blocks_matches_oracle(self):
+        # Withholding for 2p rounds leaves stale blocks at the observer's
+        # tip, so the stale filter of the conflict scan has work to do.
+        p = 4
+        cfg = SimConfig(alpha=0.5, beta=0.15, players=3, p=p, rounds=300, seed=0,
+                        strategy="withhold", withhold_k=2 * p, valuation=False)
+        sim = Simulation(cfg)
+        sim.run()
+        dag, params = sim.dag, cfg.reward_params()
+        tip = dag.id_at(sim.players[0].view.tip)
+        stale = stale_set(dag, tip, p).members
+        assert stale
+        fresh = sorted(b for b in dag.past(tip) if b not in stale)
+
+        def beside_stale(b):
+            return any(not dag.is_reachable(b, s) and not dag.is_reachable(s, b) for s in stale)
+
+        # Every tenth fresh block, plus some that stale blocks would otherwise conflict with.
+        sample = fresh[::10] + [b for b in fresh if beside_stale(b)][:5]
+        assert any(beside_stale(b) for b in sample)
+        for bid in sample:
+            assert conflict_set(dag, tip, bid, p) == conflict_set_direct(dag, tip, bid, p)
+            assert reward(dag, tip, bid, params).amount == reward_direct(dag, tip, bid, params)
 
     def test_membership_symmetric(self):
         dag = random_dag(random.Random(32), 70)

@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+import dagsim.sim
 from dagsim.errors import ConfigInvalid
 from dagsim.oracles import main_chain_traversal
 from dagsim.rewards import RewardLedger, finalize
@@ -65,6 +69,74 @@ class TestDeterminism:
         sim_h.dag.dump(dump_h)
         sim_w.dag.dump(dump_w)
         assert dump_h.getvalue() == dump_w.getvalue()
+
+
+GOLDEN_BASE = dict(alpha=0.5, beta=0.2, players=5, p=20, rounds=800,
+                   base=1_000_000, penalty=2_500, seed=7)
+# sha256 of SimReport.to_json() for GOLDEN_BASE plus each override. A
+# change that alters a report must say so and update the pin.
+GOLDEN_REPORTS = {
+    "honest": (
+        dict(strategy="honest"),
+        "2fc00c0f5246f5377f36b7cb8d4de3fa9494a25210de46b76396ab9eea97a45f",
+    ),
+    "withhold_half_p": (
+        dict(strategy="withhold", withhold_k=10),
+        "a9300f3525d2f8f19d8c76a3072eb17b2db1359bce991018ba362e82d6bd6315",
+    ),
+    "withhold_2p": (
+        dict(strategy="withhold", withhold_k=40),
+        "6705cbbb9508592be7463e42958e1e126a9467004ef58686517776830981d8ef",
+    ),
+    "selfish": (
+        dict(strategy="selfish"),
+        "61c0c609076fb161c19503970cc9f92addd3bd89907053a6abc15015a8ff7d9b",
+    ),
+    "no_reference": (
+        dict(strategy="no_reference"),
+        "d762dd0cd29c2e3d242efc5255c6652011b01ecc4feecf778ba9d5a77e87f60f",
+    ),
+    "withhold_half_p_no_invariants": (
+        dict(strategy="withhold", withhold_k=10, check_invariants=False),
+        "9efd72e541fc9f25ace4539e58728b6aee73e59374d3e666fc9d46386f1ba678",
+    ),
+}
+
+
+def golden_sim(name):
+    overrides, digest = GOLDEN_REPORTS[name]
+    return Simulation(SimConfig(**{**GOLDEN_BASE, **overrides})), digest
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_hash_pinned(self, name):
+        sim, digest = golden_sim(name)
+        assert sha256(sim.run().to_json()) == digest
+
+    def test_withhold_2p_leaves_stale_blocks(self):
+        sim, _ = golden_sim("withhold_2p")
+        assert sim.run().staleness["stale_blocks"] > 0
+
+
+class TestFire:
+    def test_one_judgement_per_entry_without_invariants(self, monkeypatch):
+        calls = []
+        judge = dagsim.sim.reward
+
+        def counting(*args):
+            calls.append(args)
+            return judge(*args)
+
+        monkeypatch.setattr(dagsim.sim, "reward", counting)
+        sim, digest = golden_sim("withhold_half_p_no_invariants")
+        report = sim.run()
+        assert len(calls) == len(sim.ledger.entries)
+        assert sha256(report.to_json()) == digest
 
 
 class TestSinglePlayer:
@@ -205,12 +277,16 @@ class TestSweep:
         assert "mean" in doc["aggregate"]["shares"]["0"]
 
     def test_sweep_deterministic(self):
-        import json
-
         cfg = small(rounds=200)
         a = run_sweep(cfg, seeds=[5, 6], max_workers=1)
         b = run_sweep(cfg, seeds=[5, 6], max_workers=1)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_pool_matches_in_process(self):
+        cfg = small(rounds=200, beta=0.1, strategy="selfish", valuation=True)
+        local = run_sweep(cfg, seeds=[5, 6], max_workers=1)
+        pooled = run_sweep(cfg, seeds=[5, 6], max_workers=2)
+        assert json.dumps(local, sort_keys=True) == json.dumps(pooled, sort_keys=True)
 
 
 class TestPunisherScenario:
