@@ -21,8 +21,9 @@ class ChainView:
     """A past-closed restriction of a dag used for chain evaluation.
 
     Subtree sizes inside the view count only view members; they are
-    computed once per view by a reverse-topological sweep, which is
-    adequate because views are small and short-lived.
+    computed once per view by a reverse-topological sweep.  This is the
+    package's only source of parent-tree subtree sizes: ``whole`` gives
+    the global ones.
     """
 
     def __init__(self, dag: BlockDag, member_ixs: set[int], *, _trusted: bool = False):
@@ -33,11 +34,10 @@ class ChainView:
         self._sizes: dict[int, int] | None = None
 
     def _check_closed(self) -> None:
-        idx = self.dag._index
+        ref_ixs = self.dag._ref_ixs
         for ix in self._members:
-            blk = self.dag.blocks[self.dag.id_at(ix)]
-            for r in blk.refs:
-                if idx[r] not in self._members:
+            for r in ref_ixs[ix]:
+                if r not in self._members:
                     raise ValueError("view is not closed under references")
 
     @classmethod
@@ -67,7 +67,8 @@ class ChainView:
     def children_in_view(self, bid: BlockId) -> list[BlockId]:
         if bid not in self:
             raise UnknownBlock(bid.hex())
-        return [c for c in self.dag.children[bid] if c in self]
+        dag = self.dag
+        return [dag.id_at(c) for c in dag._children_ix[dag._index[bid]] if c in self._members]
 
     def subtree_size(self, bid: BlockId) -> int:
         if bid not in self:
@@ -96,11 +97,11 @@ def heaviest_child(view: ChainView, bid: BlockId) -> BlockId | None:
     dag = view.dag
     best: BlockId | None = None
     best_size = 0
-    for c in dag.children[bid]:
-        cix = dag._index[c]
+    for cix in dag._children_ix[dag._index[bid]]:
         if cix not in view._members:
             continue
         s = sizes[cix]
+        c = dag._ids[cix]
         if s > best_size or (s == best_size and (best is None or c < best)):
             best = c
             best_size = s

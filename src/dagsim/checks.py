@@ -82,12 +82,13 @@ def check_parent_consistency(dag_override: BlockDag | None = None, seed: int = 1
     return CheckResult("parent-consistency", True)
 
 
-def check_subtree_sizes(seed: int = 14) -> CheckResult:
+def check_view_sizes(seed: int = 14) -> CheckResult:
     for dag in _sample_dags(seed):
         want = oracles.subtree_sizes_traversal(dag)
+        view = ChainView.whole(dag)
         for bid in dag:
-            if dag.subtree_size(bid) != want[bid]:
-                return CheckResult("subtree-sizes", False, "incremental size mismatch")
+            if view.subtree_size(bid) != want[bid]:
+                return CheckResult("subtree-sizes", False, "whole-dag view size mismatch")
     return CheckResult("subtree-sizes", True)
 
 
@@ -235,7 +236,7 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         results.append(check_parent_consistency())
     results.extend(
         [
-            check_subtree_sizes(),
+            check_view_sizes(),
             check_chain_selection(),
             check_staleness(),
             check_conflicts(),

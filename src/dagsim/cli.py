@@ -57,20 +57,21 @@ def _parse_strategy(text: str, overrides: dict) -> None:
         for pair in args.split(","):
             key, _, value = pair.partition("=")
             key = key.strip()
+            if key == "deviate" and name == "punisher":
+                overrides["punisher_deviate"] = value.lower() in ("1", "true", "yes")
+                continue
             if name == "withhold" and key == "k":
-                overrides["withhold_k"] = int(value)
+                field = "withhold_k"
             elif name == "selfish" and key == "lead":
-                overrides["selfish_lead"] = int(value)
-            elif name == "punisher" and key in (
-                "window",
-                "fork_depth",
-                "withhold",
-                "deviate",
-            ):
-                cast = (lambda v: v.lower() in ("1", "true", "yes")) if key == "deviate" else int
-                overrides[f"punisher_{key}"] = cast(value)
+                field = "selfish_lead"
+            elif name == "punisher" and key in ("window", "fork_depth", "withhold"):
+                field = f"punisher_{key}"
             else:
                 raise ConfigInvalid(f"unknown parameter {key!r} for strategy {name!r}")
+            try:
+                overrides[field] = int(value)
+            except ValueError:
+                raise ConfigInvalid(f"{field} must be an integer, got {value!r}") from None
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
@@ -91,7 +92,7 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
     if args.event_log:
         overrides["log_events"] = True
     data.update(overrides)
-    if data.get("weights") is not None:
+    if isinstance(data.get("weights"), list):
         data["weights"] = tuple(data["weights"])
     try:
         cfg = SimConfig(**data)

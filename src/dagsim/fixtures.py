@@ -41,8 +41,8 @@ class ForkExample:
     t: BlockId
 
 
-def fork_example(**dag_kwargs) -> ForkExample:
-    dag = BlockDag(**dag_kwargs)
+def fork_example() -> ForkExample:
+    dag = BlockDag()
     g = dag.genesis
 
     b_payload = b"left"

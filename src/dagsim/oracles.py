@@ -72,7 +72,12 @@ def order_recursive(dag: BlockDag, bid: BlockId) -> list[BlockId]:
 
 
 def subtree_sizes_traversal(dag: BlockDag) -> dict[BlockId, int]:
-    """Parent-tree subtree sizes counted by full traversal from each block."""
+    """Parent-tree subtree sizes by full traversal, over parent edges alone."""
+    kids: dict[BlockId, list[BlockId]] = {bid: [] for bid in dag}
+    for bid in dag:
+        p = dag.get(bid).parent
+        if p is not None:
+            kids[p].append(bid)
     sizes: dict[BlockId, int] = {}
     for bid in dag:
         total = 0
@@ -80,7 +85,7 @@ def subtree_sizes_traversal(dag: BlockDag) -> dict[BlockId, int]:
         while stack:
             b = stack.pop()
             total += 1
-            stack.extend(dag.children[b])
+            stack.extend(kids[b])
         sizes[bid] = total
     return sizes
 
@@ -194,7 +199,6 @@ def random_dag(
     n_miners: int = 4,
     max_extra_refs: int = 2,
     recency: float = 2.5,
-    **dag_kwargs,
 ) -> BlockDag:
     """Random reference-valid DAG biased toward referencing recent blocks.
 
@@ -202,7 +206,7 @@ def random_dag(
     chain-like DAGs with occasional forks; lower values produce bushier
     graphs.
     """
-    dag = BlockDag(**dag_kwargs)
+    dag = BlockDag()
     for i in range(n_blocks):
         size = len(dag)
         n_refs = 1 + rng.randint(0, max_extra_refs)

@@ -32,14 +32,13 @@ class RewardParams:
 
     ``penalty == 0`` recovers the flat scheme in which every fresh, buried
     block earns exactly ``base``.  A ``base`` not comfortably above
-    ``penalty * safety_x * p`` risks zero-clamped rewards, so configuring
-    one only logs a warning rather than failing.
+    ``penalty * p * p`` risks zero-clamped rewards, so configuring one only
+    logs a warning rather than failing.
     """
 
     base: int
     penalty: int
     p: int
-    safety_x: int | None = None
 
     def __post_init__(self):
         if self.base <= 0:
@@ -48,12 +47,11 @@ class RewardParams:
             raise ValueError("penalty must be non-negative")
         if self.p < 1:
             raise ValueError("staleness window must be positive")
-        x = self.safety_x if self.safety_x is not None else self.p
-        if self.penalty and self.base <= self.penalty * x * self.p:
+        if self.penalty and self.base <= self.penalty * self.p * self.p:
             log.warning(
-                "base reward %d is within the clamp-risk regime (<= penalty*x*p = %d)",
+                "base reward %d is within the clamp-risk regime (<= penalty*p*p = %d)",
                 self.base,
-                self.penalty * x * self.p,
+                self.penalty * self.p * self.p,
             )
 
     @property

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from statistics import mean, stdev
 
 import numpy as np
@@ -38,6 +40,9 @@ from .strategies import Release, Strategy, make_strategy
 from .views import EXTEND, REORG, PlayerView
 
 RNG_FAMILY = "numpy-pcg64"
+
+# Annotation (without ``| None``) -> accepted type, for the numeric fields.
+_NUMERIC_FIELDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 STRATEGY_NAMES = ("honest", "withhold", "selfish", "no_reference", "punisher")
 
@@ -75,6 +80,18 @@ class SimConfig:
     rng_family: str = RNG_FAMILY
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = _NUMERIC_FIELDS.get(f.type.removesuffix(" | None"))
+            if kind is None or (value is None and f.type.endswith(" | None")):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind[0]):
+                raise ConfigInvalid(f"{f.name} must be {kind[1]}, got {value!r}")
+        if self.weights is not None and (
+            not isinstance(self.weights, (list, tuple))
+            or any(isinstance(w, bool) or not isinstance(w, numbers.Real) for w in self.weights)
+        ):
+            raise ConfigInvalid(f"weights must be a list of numbers, got {self.weights!r}")
         if self.rng_family != RNG_FAMILY:
             raise ConfigInvalid(f"rng_family must be {RNG_FAMILY!r}")
         if self.alpha <= 0:
@@ -111,6 +128,12 @@ class SimConfig:
             )
         if self.strategy not in STRATEGY_NAMES:
             raise ConfigInvalid(f"unknown strategy {self.strategy!r}")
+        if self.base <= 0:
+            raise ConfigInvalid("base must be positive")
+        if self.penalty < 0:
+            raise ConfigInvalid("penalty must be non-negative")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be non-negative")
         if self.withhold_k < 0:
             raise ConfigInvalid("withhold_k must be non-negative")
         if self.strategy == "punisher":
@@ -118,8 +141,6 @@ class SimConfig:
                 raise ConfigInvalid("the punisher scenario scripts honest-pool players; beta must be 0")
             if self.players != 4:
                 raise ConfigInvalid("the punisher scenario is defined for exactly 4 players")
-        # Reward sanity (warn-only regime check happens in RewardParams).
-        self.reward_params()
 
     def reward_params(self) -> RewardParams:
         return RewardParams(base=self.base, penalty=self.penalty, p=self.p)
@@ -240,7 +261,7 @@ class Simulation:
         config.validate()
         self.config = config
         self.params = config.reward_params()
-        self.dag = BlockDag(eager_sizes=False)
+        self.dag = BlockDag()
         self.n = config.players
         self.players = [_Player(self.dag) for _ in range(self.n)]
         self.scripted = config.strategy == "punisher"
@@ -338,7 +359,7 @@ class Simulation:
                 continue
             when = round_no + 1 if (targets is None or j in targets) else round_no + 2
             self._queue(j, when, ix)
-        self._ingest_plain(self.public_view, self._public_orphans, [ix])
+        self._ingest(self.public_view, self._public_orphans, [ix])
 
     def _broadcast_honest(self, ix: int, owner: int, round_no: int, announce_at: int) -> None:
         """Honest-side broadcast; the owner always knows its own block next round."""
@@ -349,19 +370,25 @@ class Simulation:
             self._queue(owner, round_no + 1, ix)
             self._delayed_public.setdefault(announce_at, []).append((ix, owner))
 
-    def _ingest_plain(self, view: PlayerView, orphans: list[int], items: list[int]) -> None:
-        """Add blocks whose references may arrive out of order."""
+    def _ingest(self, view: PlayerView, orphans: list[int], items: list[int], on_add=None) -> None:
+        """Add blocks whose references may arrive out of order.
+
+        Blocks still missing a reference stay in ``orphans``; ``on_add``
+        gets each added block with ``view.add``'s result.
+        """
         pending = orphans + items
         orphans.clear()
         known = view.known
+        ref_ixs = self.dag._ref_ixs
         progress = True
         while progress:
             progress = False
             rest: list[int] = []
             for ix in pending:
-                refs = self.dag._ref_ixs[ix]
-                if all(r in known for r in refs):
-                    view.add(ix)
+                if all(r in known for r in ref_ixs[ix]):
+                    event, depth = view.add(ix)
+                    if on_add is not None:
+                        on_add(ix, event, depth)
                     progress = True
                 else:
                     rest.append(ix)
@@ -371,25 +398,8 @@ class Simulation:
     def _deliver_round(self, pix: int, round_no: int) -> None:
         player = self.players[pix]
         items = player.deliveries.pop(round_no, [])
-        if not items and not player.orphans:
-            return
-        pending = player.orphans + items
-        player.orphans = []
-        view = player.view
-        known = view.known
-        progress = True
-        while progress:
-            progress = False
-            rest: list[int] = []
-            for ix in pending:
-                if all(r in known for r in self.dag._ref_ixs[ix]):
-                    event, depth = view.add(ix)
-                    self._after_add(pix, ix, event, depth)
-                    progress = True
-                else:
-                    rest.append(ix)
-            pending = rest
-        player.orphans = pending
+        if items or player.orphans:
+            self._ingest(player.view, player.orphans, items, partial(self._after_add, pix))
 
     # -- finalization scheduling -------------------------------------------------
 
@@ -485,7 +495,7 @@ class Simulation:
         for _ in range(count):
             refs, hint = self.strategy.plan_refs()
             ix = self._mine(round_no, refs, self.adv_id, hint)
-            self._ingest_plain(self.adv_view, self._adv_orphans, [ix])
+            self._ingest(self.adv_view, self._adv_orphans, [ix])
             self.strategy.on_mined(ix, round_no)
             mined.append(ix)
         return mined
@@ -576,7 +586,7 @@ class Simulation:
 
             # The adversary sees this round's honest blocks before releasing.
             if self.strategy is not None and honest_new:
-                self._ingest_plain(self.adv_view, self._adv_orphans, list(honest_new))
+                self._ingest(self.adv_view, self._adv_orphans, list(honest_new))
             released: list[Release] = []
             if self.strategy is not None:
                 released = self.strategy.releases(r, honest_new)

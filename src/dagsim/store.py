@@ -2,8 +2,8 @@
 
 Blocks are identified by a 32-byte digest of their canonical serialization
 (length-prefixed payload, references in stored order, miner id).  The store
-derives and caches each block's parent edge at insertion time, maintains the
-parent-tree children lists and subtree sizes, and answers reachability
+derives and caches each block's parent edge at insertion time, keeps every
+block fact in lists indexed by insertion order, and answers reachability
 queries from packed per-block ancestry bitmaps.
 
 Concurrency: single writer, multiple readers.  Insertions must be
@@ -21,6 +21,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    DagError,
     DuplicateBlock,
     DuplicateReference,
     EmptyReferences,
@@ -74,36 +75,29 @@ class Block:
     miner: MinerId
     parent: BlockId | None
 
-    @property
-    def is_genesis(self) -> bool:
-        return self.parent is None
-
 
 class BlockDag:
     """Append-only store of blocks rooted at a genesis block.
 
     The genesis block (empty payload, no references, reserved miner id) is
-    created by the constructor.  ``eager_sizes`` controls whether global
-    parent-tree subtree sizes are maintained incrementally on every insert
-    (the default) or computed on demand; simulations disable the eager walk
-    because they track per-player subtree weights themselves.
+    created by the constructor.  ``_index`` maps an id to its insertion
+    index, which every other field is a list over; parent-tree subtree
+    sizes are not stored (``chain.ChainView`` computes them).
+    ``check_parents`` makes ``insert`` verify parent hints.
     """
 
-    def __init__(self, *, eager_sizes: bool = True, check_parents: bool = False):
-        self.eager_sizes = eager_sizes
+    def __init__(self, *, check_parents: bool = False):
         self.check_parents = check_parents
 
         gid = block_id(b"", (), GENESIS_MINER)
-        genesis = Block(id=gid, payload=b"", refs=(), miner=GENESIS_MINER, parent=None)
         self.genesis: BlockId = gid
-        self.blocks: dict[BlockId, Block] = {gid: genesis}
-        self.children: dict[BlockId, list[BlockId]] = {gid: []}
-        self._subtree: dict[BlockId, int] = {gid: 1}
 
-        # Index layer: dense integer handles in insertion order. All graph
-        # algorithms in the package run on these.
+        # Dense integer handles in insertion order. All graph algorithms in
+        # the package run on these.
         self._ids: list[BlockId] = [gid]
         self._index: dict[BlockId, int] = {gid: 0}
+        self._blocks = [Block(id=gid, payload=b"", refs=(), miner=GENESIS_MINER, parent=None)]
+        self._children_ix: list[list[int]] = [[]]
         self._parent_ix: list[int] = [-1]
         self._depth: list[int] = [0]
         self._miner_ix: list[MinerId] = [GENESIS_MINER]
@@ -135,7 +129,7 @@ class BlockDag:
 
     def get(self, bid: BlockId) -> Block:
         try:
-            return self.blocks[bid]
+            return self._blocks[self._index[bid]]
         except KeyError:
             raise UnknownBlock(bid.hex()) from None
 
@@ -163,23 +157,6 @@ class BlockDag:
 
     def ref_indexes(self, ix: int) -> tuple[int, ...]:
         return self._ref_ixs[ix]
-
-    def subtree_size(self, bid: BlockId) -> int:
-        """Number of parent-tree descendants of ``bid`` including itself."""
-        if bid not in self._index:
-            raise UnknownBlock(bid.hex())
-        if self.eager_sizes:
-            return self._subtree[bid]
-        return self._count_subtree(bid)
-
-    def _count_subtree(self, bid: BlockId) -> int:
-        total = 0
-        stack = [bid]
-        while stack:
-            b = stack.pop()
-            total += 1
-            stack.extend(self.children[b])
-        return total
 
     # -- mask plumbing -----------------------------------------------------
 
@@ -298,11 +275,11 @@ class BlockDag:
         ix = len(self._ids)
         pix = self._index[parent]
 
-        self.blocks[bid] = block
-        self.children[bid] = []
-        self.children[parent].append(bid)
         self._ids.append(bid)
         self._index[bid] = ix
+        self._blocks.append(block)
+        self._children_ix.append([])
+        self._children_ix[pix].append(ix)
         self._parent_ix.append(pix)
         self._depth.append(self._depth[pix] + 1)
         self._miner_ix.append(miner)
@@ -310,16 +287,6 @@ class BlockDag:
         self._new_mask_row(ix, ref_ixs)
         self._build_lifting(ix, pix)
         self._delta_past.append(self._compute_delta(ix, pix, ref_ixs))
-
-        if self.eager_sizes:
-            self._subtree[bid] = 1
-            walk = parent
-            while walk is not None:
-                self._subtree[walk] += 1
-                walk = self.blocks[walk].parent
-        else:
-            self._subtree[bid] = 1
-
         return block
 
     def _build_lifting(self, ix: int, pix: int) -> None:
@@ -374,10 +341,7 @@ class BlockDag:
         return tuple(out)
 
     def _children_for_visit(self, j: int) -> list[int]:
-        blk = self.blocks[self._ids[j]]
-        kids = [self._parent_ix[j]]
-        kids.extend(self._index[r] for r in blk.refs)
-        return kids
+        return [self._parent_ix[j], *self._ref_ixs[j]]
 
     # -- queries ---------------------------------------------------------------
 
@@ -392,19 +356,16 @@ class BlockDag:
 
     def tips(self) -> list[BlockId]:
         """Blocks not referenced by any stored block, in insertion order."""
-        referenced: set[BlockId] = set()
-        for b in self.blocks.values():
-            referenced.update(b.refs)
-        return [bid for bid in self._ids if bid not in referenced]
+        referenced = {r for refs in self._ref_ixs for r in refs}
+        return [bid for ix, bid in enumerate(self._ids) if ix not in referenced]
 
     # -- snapshot io -------------------------------------------------------------
 
     def dump(self, fp: IO[str]) -> None:
         """Write one JSON record per block in insertion (topological) order."""
-        for bid in self._ids:
-            b = self.blocks[bid]
+        for b in self._blocks:
             rec = {
-                "id": bid.hex(),
+                "id": b.id.hex(),
                 "payload_hex": b.payload.hex(),
                 "refs": [r.hex() for r in b.refs],
                 "miner": b.miner,
@@ -414,26 +375,42 @@ class BlockDag:
 
 
 def load_dag(fp: IO[str], **kwargs) -> BlockDag:
-    """Rebuild a dag from a snapshot, verifying ids and recorded parents."""
+    """Rebuild a dag from a snapshot, verifying ids and recorded parents.
+
+    A record that does not parse, does not insert, or disagrees with the
+    rebuilt store raises ``SnapshotError`` naming its line.
+    """
     dag = BlockDag(**kwargs)
     for line_no, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
-        bid = bytes.fromhex(rec["id"])
-        if line_no == 1 and not rec["refs"]:
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise TypeError("record is not a JSON object")
+            bid = bytes.fromhex(rec["id"])
+            payload = bytes.fromhex(rec["payload_hex"])
+            refs = [bytes.fromhex(r) for r in rec["refs"]]
+            miner = rec["miner"]
+            if type(miner) is not int:
+                raise TypeError("miner is not an integer")
+            recorded = rec.get("parent")
+            parent = None if recorded is None else bytes.fromhex(recorded)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SnapshotError(f"line {line_no}: malformed record: {exc!r}") from None
+        if not refs:
+            if line_no != 1:
+                raise SnapshotError(f"line {line_no}: genesis record out of place")
             if bid != dag.genesis:
-                raise SnapshotError("snapshot genesis does not match")
+                raise SnapshotError("line 1: snapshot genesis does not match")
             continue
-        block = dag.insert(
-            bytes.fromhex(rec["payload_hex"]),
-            [bytes.fromhex(r) for r in rec["refs"]],
-            rec["miner"],
-        )
+        try:
+            block = dag.insert(payload, refs, miner)
+        except DagError as exc:
+            raise SnapshotError(f"line {line_no}: {exc.__class__.__name__}: {exc}") from None
         if block.id != bid:
             raise SnapshotError(f"line {line_no}: recomputed id differs")
-        recorded = rec.get("parent")
-        if recorded is not None and bytes.fromhex(recorded) != block.parent:
+        if parent is not None and parent != block.parent:
             raise SnapshotError(f"line {line_no}: recorded parent differs")
     return dag

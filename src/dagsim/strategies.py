@@ -89,16 +89,18 @@ class NoReferenceStrategy(Strategy):
 
     name = "no_reference"
 
+    def __init__(self):
+        self._pending: list[int] = []
+
     def plan_refs(self) -> tuple[list[bytes], bytes]:
         tid = self.ctx.dag.id_at(self.ctx.adv_view.tip)
         return [tid], tid
 
     def on_mined(self, ix: int, round_no: int) -> None:
-        self._pending = getattr(self, "_pending", [])
         self._pending.append(ix)
 
     def releases(self, round_no: int, honest_new: list[int]) -> list[Release]:
-        out = [Release(ix) for ix in getattr(self, "_pending", [])]
+        out = [Release(ix) for ix in self._pending]
         self._pending = []
         return out
 

@@ -29,6 +29,24 @@ class TestRunCommand:
         assert main(["run", "--config", cfg]) == 2
         assert "below one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ({}, ["--base", "0"], "base must be positive"),
+            ({}, ["--penalty", "-1"], "penalty must be non-negative"),
+            ({}, ["--seed", "-1"], "seed must be non-negative"),
+            ({"players": "5"}, [], "players must be an integer"),
+            ({"weights": 5}, [], "weights must be a list of numbers"),
+            ({"beta": 0.1}, ["--strategy", "withhold:k=x"], "withhold_k must be an integer"),
+        ],
+        ids=["base-zero", "negative-penalty", "negative-seed", "players-string", "weights-scalar",
+             "withhold-k-string"],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, config, flags, message):
+        cfg = write_config(tmp_path, **config)
+        assert main(["run", "--config", cfg, *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"alhpa": 0.5}')

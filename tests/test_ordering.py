@@ -101,7 +101,7 @@ def test_repeated_calls_identical():
 
 
 def test_deep_chain_does_not_recurse():
-    dag = BlockDag(eager_sizes=False)
+    dag = BlockDag()
     tip = dag.genesis
     for i in range(20_000):
         # Chain extension: the new block's parent is its only reference.

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 
 import pytest
 
@@ -42,6 +43,12 @@ class TestConfigValidation:
             small(strategy="punisher", players=3).validate()
         with pytest.raises(ConfigInvalid, match="beta"):
             small(strategy="punisher", players=4, beta=0.1, alpha=0.4).validate()
+
+    def test_clamp_risk_warning_logged_once_per_simulation(self, caplog):
+        logging.getLogger("dagsim.rewards").setLevel(logging.WARNING)
+        with caplog.at_level(logging.WARNING, logger="dagsim.rewards"):
+            Simulation(small(base=2_000 * 4 * 4))
+        assert sum("clamp-risk" in r.message for r in caplog.records) == 1
 
     def test_rng_family_pinned(self):
         with pytest.raises(ConfigInvalid, match="rng_family"):

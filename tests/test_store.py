@@ -1,4 +1,5 @@
 import io
+import json
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagsim import errors
+from dagsim.chain import ChainView
 from dagsim.fixtures import fork_example
 from dagsim.oracles import all_pasts, past_bfs, random_dag, subtree_sizes_traversal
+from dagsim.sim import STRATEGY_NAMES, SimConfig, Simulation
 from dagsim.store import BlockDag, GENESIS_MINER, block_id, load_dag
 
 
@@ -42,7 +45,7 @@ class TestInsert:
         dag = BlockDag()
         blk = dag.insert(b"one", [dag.genesis], 0)
         assert blk.parent == dag.genesis
-        assert dag.subtree_size(dag.genesis) == 2
+        assert ChainView.whole(dag).subtree_size(dag.genesis) == 2
 
     def test_missing_reference_rejected(self):
         dag = BlockDag()
@@ -140,38 +143,64 @@ def test_incremental_past_matches_brute_force(seed, size):
 def test_subtree_sizes_match_traversal(seed, size):
     dag = random_dag(random.Random(seed), size)
     want = subtree_sizes_traversal(dag)
+    view = ChainView.whole(dag)
     for bid in dag:
-        assert dag.subtree_size(bid) == want[bid]
-    assert dag.subtree_size(dag.genesis) == len(dag)
+        assert view.subtree_size(bid) == want[bid]
+    assert view.subtree_size(dag.genesis) == len(dag)
 
 
-def test_lazy_sizes_match_eager():
-    lazy = random_dag(random.Random(3), 60, eager_sizes=False)
-    eager = random_dag(random.Random(3), 60)
-    for bid in lazy:
-        assert lazy.subtree_size(bid) == eager.subtree_size(bid)
+def simulated_dag(strategy):
+    """A short run's dag; the simulator inserts with its own parent hints."""
+    adversary = dict(beta=0.0, players=4) if strategy == "punisher" else dict(beta=0.12, players=3)
+    cfg = SimConfig(alpha=0.5, p=4, rounds=1500, seed=5, strategy=strategy, withhold_k=6,
+                    valuation=False, check_invariants=False, **adversary)
+    sim = Simulation(cfg)
+    sim.run()
+    return sim.dag
+
+
+def dump_text(dag):
+    buf = io.StringIO()
+    dag.dump(buf)
+    return buf.getvalue()
+
+
+# Each tamper maps the two records of a one-block dump to a broken snapshot,
+# and names the line the error must cite.
+TAMPERS = {
+    "miner-changed": (lambda g, a: [g, a.replace('"miner":0', '"miner":1')], 2),
+    "missing-key": (lambda g, a: [g, a.replace('"miner":0,', "")], 2),
+    "bad-hex": (lambda g, a: [g, a.replace('"payload_hex":"61"', '"payload_hex":"6g"')], 2),
+    "not-json": (lambda g, a: [g, a[:-1]], 2),
+    "not-an-object": (lambda g, a: [g, json.dumps(list(json.loads(a).values()))], 2),
+    "genesis-out-of-place": (lambda g, a: [g, a, g], 3),
+}
 
 
 class TestSnapshot:
-    def test_roundtrip(self):
-        dag = random_dag(random.Random(8), 40)
-        buf = io.StringIO()
-        dag.dump(buf)
-        buf.seek(0)
-        copy = load_dag(buf)
+    @pytest.mark.parametrize("source", ["random_dag", *STRATEGY_NAMES])
+    def test_roundtrip(self, source):
+        if source == "random_dag":
+            dag = random_dag(random.Random(8), 40)
+        else:
+            dag = simulated_dag(source)
+        text = dump_text(dag)
+        # load_dag recomputes every id and parent and compares both with the record.
+        copy = load_dag(io.StringIO(text))
         assert list(copy) == list(dag)
         for bid in dag:
             a, b = dag.get(bid), copy.get(bid)
             assert (a.payload, a.refs, a.miner, a.parent) == (b.payload, b.refs, b.miner, b.parent)
+        assert dump_text(copy) == text
 
-    def test_tampered_record_rejected(self):
+    @pytest.mark.parametrize("case", list(TAMPERS))
+    def test_tampered_record_rejected(self, case):
+        tamper, line = TAMPERS[case]
         dag = BlockDag()
         dag.insert(b"a", [dag.genesis], 0)
-        buf = io.StringIO()
-        dag.dump(buf)
-        tampered = buf.getvalue().replace('"miner":0', '"miner":1')
-        with pytest.raises(errors.SnapshotError):
-            load_dag(io.StringIO(tampered))
+        records = tamper(*dump_text(dag).splitlines())
+        with pytest.raises(errors.SnapshotError, match=f"^line {line}:"):
+            load_dag(io.StringIO("\n".join(records) + "\n"))
 
 
 def test_tips_are_unreferenced_blocks():

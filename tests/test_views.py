@@ -44,7 +44,7 @@ def test_chain_matches_oracle_after_every_delivery(seed, size):
 def test_sibling_tiebreak_independent_of_arrival_order():
     from dagsim.store import BlockDag
 
-    dag = BlockDag(eager_sizes=False)
+    dag = BlockDag()
     dag.insert(b"left", [dag.genesis], 0)
     dag.insert(b"right", [dag.genesis], 1)
     a, b = 1, 2
@@ -63,7 +63,7 @@ def test_reorg_restores_bookkeeping():
     # A losing branch overtakes: the chain must flip and stay consistent.
     from dagsim.store import BlockDag
 
-    dag = BlockDag(eager_sizes=False)
+    dag = BlockDag()
     g = dag.genesis
     a = dag.insert(b"a", [g], 0).id
     b = dag.insert(b"b", [g], 1).id
@@ -82,7 +82,7 @@ def test_reorg_restores_bookkeeping():
 def test_tips_track_unreferenced_blocks():
     from dagsim.store import BlockDag
 
-    dag = BlockDag(eager_sizes=False)
+    dag = BlockDag()
     g = dag.genesis
     a = dag.insert(b"a", [g], 0).id
     b = dag.insert(b"b", [g], 1).id
