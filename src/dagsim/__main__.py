@@ -1,0 +1,8 @@
+"""``python -m dagsim``: the same commands as the ``dagsim`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -151,10 +151,6 @@ class RewardLedger:
     def finalized(self) -> dict[BlockId, int]:
         return {bid: e.amount for bid, e in self.entries.items()}
 
-    @property
-    def finalized_at(self) -> dict[BlockId, BlockId]:
-        return {bid: e.tip for bid, e in self.entries.items()}
-
     def record(
         self, bid: BlockId, miner: int, outcome: BlockReward, tip: BlockId, round_no: int
     ) -> None:

@@ -82,6 +82,8 @@ class SimConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigInvalid(f"{f.name} must be true or false, got {value!r}")
             kind = _NUMERIC_FIELDS.get(f.type.removesuffix(" | None"))
             if kind is None or (value is None and f.type.endswith(" | None")):
                 continue
@@ -136,6 +138,12 @@ class SimConfig:
             raise ConfigInvalid("seed must be non-negative")
         if self.withhold_k < 0:
             raise ConfigInvalid("withhold_k must be non-negative")
+        # Below these bounds the selfish release and the punisher trigger can
+        # never fire, and the run would silently play another strategy.
+        if self.selfish_lead < 1:
+            raise ConfigInvalid("selfish_lead must be at least 1")
+        if self.punisher_window < 0:
+            raise ConfigInvalid("punisher_window must be non-negative")
         if self.strategy == "punisher":
             if self.beta != 0:
                 raise ConfigInvalid("the punisher scenario scripts honest-pool players; beta must be 0")

@@ -246,6 +246,13 @@ class BlockDag:
         hint is verified against the selection rule.  ``claim_honest``
         additionally asserts the protocol property that an honestly built
         block's parent is one of its references.
+
+        Every stored parent must be the chain end over the union of its
+        block's references' pasts: ``chain.determine_parent`` starts its
+        descent at a fork point on that assumption.  An unchecked wrong
+        hint therefore breaks the invariant not only for this block but
+        for every later block whose references reach it; ``check_parents``
+        guards against that.
         """
         if not refs:
             raise EmptyReferences("a block must reference at least one block")

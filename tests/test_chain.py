@@ -5,7 +5,8 @@ import pytest
 from dagsim.chain import ChainView, determine_parent, heaviest_child, main_chain
 from dagsim.errors import UnknownBlock, UnknownReference
 from dagsim.fixtures import fork_example
-from dagsim.oracles import main_chain_traversal, random_dag
+from dagsim.oracles import all_pasts, main_chain_traversal, past_bfs, random_dag
+from dagsim.sim import SimConfig, Simulation
 from dagsim.store import BlockDag
 
 
@@ -121,10 +122,52 @@ def test_parent_can_fall_outside_adversarial_refs():
     refs = [r.id, p1, p2]
     winner = determine_parent(dag, refs)
     assert winner == e and winner not in refs
+    members = set().union(*(past_bfs(dag, ref) for ref in refs))
+    assert winner == main_chain_traversal(dag, members)[-1]
     with pytest.raises(ValueError):
         dag.insert(b"claimed-honest", refs, 4, claim_honest=True)
     stored = dag.insert(b"adversarial", refs, 4)
     assert stored.parent == e
+
+
+def oracle_parent(dag, refs, pasts):
+    """Chain end over the union of the refs' pasts, by the brute-force traversal."""
+    return main_chain_traversal(dag, set().union(*(pasts[r] for r in refs)))[-1]
+
+
+class TestParentOracleGate:
+    """``determine_parent`` against the from-scratch chain over every block's refs."""
+
+    @pytest.mark.parametrize(
+        "seed, n, recency, max_extra_refs",
+        [(20, 120, 0.5, 5), (21, 120, 1.0, 3), (22, 150, 1.0, 5), (23, 150, 2.5, 2),
+         (24, 120, 6.0, 5)],
+    )
+    def test_random_dags(self, seed, n, recency, max_extra_refs):
+        rng = random.Random(seed)
+        dag = random_dag(rng, n, max_extra_refs=max_extra_refs, recency=recency)
+        pasts = all_pasts(dag)
+        ids = list(dag)
+        for bid in ids[1:]:
+            refs = list(dag.get(bid).refs)
+            assert determine_parent(dag, refs) == oracle_parent(dag, refs, pasts)
+            # Arbitrary reference lists too: nested, redundant or far apart.
+            refs = rng.sample(ids, rng.randint(2, 6))
+            assert determine_parent(dag, refs) == oracle_parent(dag, refs, pasts)
+
+    @pytest.mark.parametrize("strategy", ["selfish", "no_reference", "withhold"])
+    def test_simulated_dags(self, strategy):
+        # withhold_k = 2p leaves stale blocks at the tip.
+        cfg = SimConfig(alpha=0.5, beta=0.12, players=3, p=4, rounds=1500, seed=5,
+                        strategy=strategy, withhold_k=8, valuation=False,
+                        check_invariants=False)
+        sim = Simulation(cfg)
+        sim.run()
+        dag = sim.dag
+        pasts = all_pasts(dag)
+        for bid in list(dag)[1:]:
+            refs = list(dag.get(bid).refs)
+            assert determine_parent(dag, refs) == oracle_parent(dag, refs, pasts)
 
 
 class TestChainView:

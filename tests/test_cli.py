@@ -1,10 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dagsim
+
 from dagsim.cli import main
 from dagsim.store import load_dag
+
+SRC = os.path.dirname(os.path.dirname(dagsim.__file__))
 
 
 def write_config(tmp_path, **kw):
@@ -38,9 +45,18 @@ class TestRunCommand:
             ({"players": "5"}, [], "players must be an integer"),
             ({"weights": 5}, [], "weights must be a list of numbers"),
             ({"beta": 0.1}, ["--strategy", "withhold:k=x"], "withhold_k must be an integer"),
+            ({"valuation": "no"}, [], "valuation must be true or false"),
+            ({"check_invariants": "yes"}, [], "check_invariants must be true or false"),
+            ({"log_events": 1}, [], "log_events must be true or false"),
+            ({"punisher_deviate": "false"}, [], "punisher_deviate must be true or false"),
+            ({"beta": 0.1}, ["--strategy", "selfish:lead=0"], "selfish_lead must be at least 1"),
+            ({"players": 4, "strategy": "punisher", "punisher_window": -3}, [],
+             "punisher_window must be non-negative"),
         ],
         ids=["base-zero", "negative-penalty", "negative-seed", "players-string", "weights-scalar",
-             "withhold-k-string"],
+             "withhold-k-string", "valuation-string", "check-invariants-string",
+             "log-events-int", "punisher-deviate-string", "selfish-lead-zero",
+             "punisher-window-negative"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, config, flags, message):
         cfg = write_config(tmp_path, **config)
@@ -136,6 +152,17 @@ class TestRunCommand:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not target.exists()
+
+
+    def test_module_entry_point(self, tmp_path):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dagsim", "run", "--rounds", "100", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["config"]["rounds"] == 100
 
 
 class TestCheckCommand:
