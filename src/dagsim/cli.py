@@ -58,6 +58,8 @@ def _parse_strategy(text: str, overrides: dict) -> None:
             key, _, value = pair.partition("=")
             key = key.strip()
             if key == "deviate" and name == "punisher":
+                if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ConfigInvalid(f"punisher_deviate must be true or false, got {value!r}")
                 overrides["punisher_deviate"] = value.lower() in ("1", "true", "yes")
                 continue
             if name == "withhold" and key == "k":

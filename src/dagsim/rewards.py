@@ -7,6 +7,10 @@ depth strictly greater than ``2p`` fixes the amount for good; the ledger
 enforces that at runtime by re-deriving amounts on demand and refusing to
 let a recorded value change.
 
+``judge`` is the one judging engine: it judges a batch of blocks at one
+tip, counting all their conflicts in one numpy pass (``conflict_counts``).
+Every reward computation in the package runs on it.
+
 Amounts are integer micro-units so ledger equality is exact.
 """
 
@@ -69,17 +73,72 @@ class BlockReward:
     clamped: bool
 
 
-def _conflict_indexes(dag: BlockDag, sidx: StaleIndex, tip_ix: int, b_ix: int) -> list[int]:
-    """Ascending indexes of the fresh blocks in past(tip) mutually unreachable with ``b_ix``."""
-    diff = dag.mask_row(tip_ix) & ~dag.mask_row(b_ix)
-    bits = np.unpackbits(diff, bitorder="little")[: len(dag)]
-    candidates = np.nonzero(bits)[0]
-    # Candidates that reference the subject are not in conflict with it;
-    # this one column test drops about 99% of them on simulator dags.
-    out = candidates[~dag.in_past_ixs(candidates, b_ix)].tolist()
-    stale_at_tip = sidx.cum(tip_ix)
-    if stale_at_tip:
-        out = [x for x in out if x not in stale_at_tip]
+_CHUNK = 256  # subjects per batch: the column gather takes blocks x _CHUNK bytes
+_STALE = BlockReward(amount=0, conflict_size=0, stale=True, clamped=False)
+_SHALLOW = BlockReward(amount=0, conflict_size=0, stale=False, clamped=False)
+
+
+def _fresh_bits(dag: BlockDag, sidx: StaleIndex, tip_ix: int) -> np.ndarray:
+    """One uint8 flag per block: set iff it is in past(tip) and fresh there."""
+    bits = np.unpackbits(dag.mask_row(tip_ix), count=len(dag), bitorder="little")
+    bits[list(sidx.cum(tip_ix))] = 0
+    return bits
+
+
+def conflict_counts(dag: BlockDag, sidx: StaleIndex, tip_ix: int, subjects, among=None):
+    """Conflict-set sizes of ``subjects`` (fresh blocks of past(tip)) as an array.
+
+    ``among``, block indexes holding every subject, restricts the counted
+    conflicts to its members.  With F the fresh past of the tip, b's
+    conflicts are F minus past(b) minus desc(b), and b lies in both, so
+    the count is ``|F| - |past(b) & F| - |desc(b) & F| + 1``: a popcount
+    of b's packed row against F, and b's bit column gathered over F's rows.
+    """
+    bits = _fresh_bits(dag, sidx, tip_ix)
+    if among is not None:
+        keep = np.zeros_like(bits)
+        keep[np.asarray(among, dtype=np.intp)] = 1
+        bits &= keep
+    size, packed = int(np.count_nonzero(bits)), np.packbits(bits, bitorder="little")
+    subj = np.asarray(subjects, dtype=np.intp)
+    masks = dag._masks[: len(dag)]
+    counts = np.empty(len(subj), dtype=np.int64)
+    for lo in range(0, len(subj), _CHUNK):
+        part = subj[lo : lo + _CHUNK]
+        past = np.bitwise_count(masks[part, : len(packed)] & packed).sum(axis=1, dtype=np.int64)
+        first = int(part.min())  # a descendant is stored after its ancestor
+        column = masks[first:, part >> 3] >> (part & 7).astype(np.uint8)  # bit 0: b in past(x)
+        column &= bits[first:, None]
+        counts[lo : lo + _CHUNK] = size + 1 - past - np.count_nonzero(column, axis=0)
+    return counts
+
+
+def judge(dag: BlockDag, sidx: StaleIndex, tip_ix: int, subjects, params: RewardParams):
+    """Outcomes (``BlockReward``) of the blocks ``subjects`` at ``tip_ix``, in order.
+
+    Zero for stale blocks and for blocks whose meeting point with the tip
+    is within the finality depth; otherwise base minus penalty per
+    conflict, clamped at zero (clamping is flagged and counted upstream).
+    An outcome at a stored tip never changes.
+    """
+    tip_depth = dag.depth_of(tip_ix)
+    out: list[BlockReward | None] = []
+    live: list[int] = []
+    for b_ix in subjects:
+        if not dag.in_past_ix(tip_ix, b_ix):
+            raise NotInPast(f"{dag.id_at(b_ix).hex()[:12]} is not reachable from the tip")
+        if sidx.is_stale_ix(b_ix, tip_ix):
+            out.append(_STALE)
+        elif tip_depth - dag.depth_of(dag.lca_ix(tip_ix, b_ix)) <= params.finality_depth:
+            out.append(_SHALLOW)
+        else:
+            live.append(len(out))
+            out.append(None)
+    if live:
+        counts = conflict_counts(dag, sidx, tip_ix, [subjects[k] for k in live])
+        for k, c in zip(live, counts.tolist()):
+            raw = params.base - params.penalty * c
+            out[k] = BlockReward(amount=max(0, raw), conflict_size=c, stale=False, clamped=raw < 0)
     return out
 
 
@@ -89,41 +148,22 @@ def conflict_set(dag: BlockDag, tip: BlockId, bid: BlockId, p: int) -> set[Block
     Undefined (raises) when the subject itself is stale at the tip;
     membership is symmetric between any two fresh blocks.
     """
-    tip_ix = dag.index_of(tip)
-    b_ix = dag.index_of(bid)
+    tip_ix, b_ix = dag.index_of(tip), dag.index_of(bid)
     if not dag.in_past_ix(tip_ix, b_ix):
         raise NotInPast(f"{bid.hex()[:12]} is not reachable from the tip")
     sidx = stale_index(dag, p)
     if sidx.is_stale_ix(b_ix, tip_ix):
         raise StaleSubject(f"{bid.hex()[:12]} is stale at this tip")
-    return {dag.id_at(x) for x in _conflict_indexes(dag, sidx, tip_ix, b_ix)}
+    bits = _fresh_bits(dag, sidx, tip_ix)  # 0/1 flags: "&= ~byte" keeps x iff bit 0 is clear
+    bits &= ~np.unpackbits(dag.mask_row(b_ix), count=len(dag), bitorder="little")  # x in past(b)
+    bits &= ~(dag._masks[: len(dag), b_ix >> 3] >> (b_ix & 7))  # b in past(x)
+    return {dag.id_at(x) for x in np.flatnonzero(bits).tolist()}
 
 
 def reward(dag: BlockDag, tip: BlockId, bid: BlockId, params: RewardParams) -> BlockReward:
-    """Amount granted to ``bid`` by the chain ending at ``tip``.
-
-    Zero for stale blocks and for blocks whose meeting point with the tip
-    is within the finality depth; otherwise base minus penalty per
-    conflict, clamped at zero (clamping is flagged and counted upstream).
-    """
-    tip_ix = dag.index_of(tip)
-    b_ix = dag.index_of(bid)
-    if not dag.in_past_ix(tip_ix, b_ix):
-        raise NotInPast(f"{bid.hex()[:12]} is not reachable from the tip")
+    """Amount granted to ``bid`` by the chain ending at ``tip`` (see ``judge``)."""
     sidx = stale_index(dag, params.p)
-    if sidx.is_stale_ix(b_ix, tip_ix):
-        return BlockReward(amount=0, conflict_size=0, stale=True, clamped=False)
-    meet = dag.lca_ix(tip_ix, b_ix)
-    if dag.depth_of(tip_ix) - dag.depth_of(meet) <= params.finality_depth:
-        return BlockReward(amount=0, conflict_size=0, stale=False, clamped=False)
-    conflicts = _conflict_indexes(dag, sidx, tip_ix, b_ix)
-    raw = params.base - params.penalty * len(conflicts)
-    return BlockReward(
-        amount=max(0, raw),
-        conflict_size=len(conflicts),
-        stale=False,
-        clamped=raw < 0,
-    )
+    return judge(dag, sidx, dag.index_of(tip), [dag.index_of(bid)], params)[0]
 
 
 @dataclass
@@ -216,18 +256,18 @@ def finalize(
     agree with the recorded values.
     """
     tip_ix = dag.index_of(tip)
-    tip_depth = dag.depth_of(tip_ix)
-    horizon = tip_depth - params.finality_depth
-    if horizon <= 0:
-        return ledger
-    for b_ix in dag.past_indexes(tip_ix).tolist():
-        if dag.depth_of(dag.lca_ix(tip_ix, b_ix)) >= horizon:
-            continue
+    horizon = dag.depth_of(tip_ix) - params.finality_depth
+    subjects = [
+        b_ix
+        for b_ix in dag.past_indexes(tip_ix).tolist()
+        if dag.depth_of(dag.lca_ix(tip_ix, b_ix)) < horizon
+        and (recheck or dag.id_at(b_ix) not in ledger.entries)
+    ]
+    outcomes = judge(dag, stale_index(dag, params.p), tip_ix, subjects, params)
+    for b_ix, outcome in zip(subjects, outcomes):
         bid = dag.id_at(b_ix)
         if bid in ledger.entries:
-            if recheck:
-                ledger.verify(bid, reward(dag, tip, bid, params))
-            continue
-        outcome = reward(dag, tip, bid, params)
-        ledger.record(bid, dag.miner_of(b_ix), outcome, tip, round_no)
+            ledger.verify(bid, outcome)
+        else:
+            ledger.record(bid, dag.miner_of(b_ix), outcome, tip, round_no)
     return ledger

@@ -16,7 +16,9 @@ Identical configurations therefore produce bit-identical reports.
 Rewards are finalized by every honest player from its own chain as soon as
 a block is buried beyond twice the staleness window; all players share one
 ledger, so later finalizations of the same block re-derive the amount and
-must reproduce it exactly.
+must reproduce it exactly.  Burials are queued as (block, player's tip)
+and judged after each round's deliveries, once per distinct pair and
+batched per tip; records and verifies then apply in burial order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from statistics import mean, stdev
 import numpy as np
 
 from .errors import ConfigInvalid
-from .rewards import RewardLedger, RewardParams, reward
+from .rewards import BlockReward, RewardLedger, RewardParams, conflict_counts, judge
 from .staleness import StaleIndex, stale_index
 from .store import BlockDag, GENESIS_MINER
 from .strategies import Release, Strategy, make_strategy
@@ -304,6 +306,7 @@ class Simulation:
         self.flags = _StaleFlags(self.dag, self.sidx, honest_miners)
 
         self.ledger = RewardLedger()
+        self._pending: list[tuple[int, int]] = []  # (block, tip) burials this round
 
         self._seq = 0
         self.mined_round: dict[int, int] = {}
@@ -468,7 +471,7 @@ class Simulation:
         player.awaiting = still
 
     def _fire(self, pix: int, ix: int) -> None:
-        """Record/verify ``ix`` if it is truly buried at this player's tip."""
+        """Queue ``ix`` for judging if it is truly buried at this player's tip."""
         player = self.players[pix]
         if ix in player.done:
             return
@@ -483,15 +486,34 @@ class Simulation:
         if not dag.in_past_ix(tip, ix):
             player.awaiting.append(ix)
             return
-        bid = dag.id_at(ix)
-        tip_id = dag.id_at(tip)
-        # Judge the block only when the outcome is recorded or verified.
-        if bid not in self.ledger.entries:
-            outcome = reward(dag, tip_id, bid, self.params)
-            self.ledger.record(bid, dag.miner_of(ix), outcome, tip_id, self._round)
-        elif self.config.check_invariants:
-            self.ledger.verify(bid, reward(dag, tip_id, bid, self.params))
+        self._pending.append((ix, tip))
         player.done.add(ix)
+
+    def _judge_pending(self) -> None:
+        """Record (first burial) or verify (later ones, with ``check_invariants``)
+        the queued burials in order, judging each distinct (tip, block) pair
+        once: players mostly bury a block at one tip, and outcomes are fixed.
+        """
+        pending, self._pending = self._pending, []
+        dag, ledger = self.dag, self.ledger
+        if not self.config.check_invariants:  # judge only what is recorded
+            first: dict[int, int] = {}
+            for ix, tip in pending:
+                first.setdefault(ix, tip)
+            pending = [(ix, t) for ix, t in first.items() if dag.id_at(ix) not in ledger.entries]
+        outcome: dict[tuple[int, int], BlockReward] = dict.fromkeys(pending)
+        by_tip: dict[int, list[int]] = {}
+        for ix, tip in outcome:
+            by_tip.setdefault(tip, []).append(ix)
+        for tip, subjects in by_tip.items():
+            outcomes = judge(dag, self.sidx, tip, subjects, self.params)
+            outcome.update(zip([(ix, tip) for ix in subjects], outcomes))
+        for ix, tip in pending:
+            bid = dag.id_at(ix)
+            if bid in ledger.entries:
+                ledger.verify(bid, outcome[ix, tip])
+            else:
+                ledger.record(bid, dag.miner_of(ix), outcome[ix, tip], dag.id_at(tip), self._round)
 
     # -- mining phases ---------------------------------------------------------
 
@@ -573,6 +595,7 @@ class Simulation:
                 self._deliver_round(j, r)
                 if self.flags(self.players[j].view.tip):
                     self.honest_stale_events += 1
+            self._judge_pending()
             if self.scripted:
                 self._punisher_trigger(r)
 
@@ -611,6 +634,7 @@ class Simulation:
                         "finalized": len(self.ledger.entries),
                     }
                 )
+        self._judge_pending()
         if cfg.check_invariants:
             self._final_verify()
         return self._report()
@@ -623,16 +647,15 @@ class Simulation:
         burial-time rechecks cannot see.
         """
         dag = self.dag
-        tip_ix = self.players[0].view.tip
-        tip = dag.id_at(tip_ix)
-        horizon = dag.depth_of(tip_ix) - self.params.finality_depth
-        for bid in self.ledger.entries:
-            ix = dag._index[bid]
-            if not dag.in_past_ix(tip_ix, ix):
-                continue
-            if dag.depth_of(dag.lca_ix(tip_ix, ix)) >= horizon:
-                continue
-            self.ledger.verify(bid, reward(dag, tip, bid, self.params))
+        tip = self.players[0].view.tip
+        horizon = dag.depth_of(tip) - self.params.finality_depth
+        buried = [
+            ix
+            for ix in map(dag.index_of, self.ledger.entries)
+            if dag.in_past_ix(tip, ix) and dag.depth_of(dag.lca_ix(tip, ix)) < horizon
+        ]
+        for ix, outcome in zip(buried, judge(dag, self.sidx, tip, buried, self.params)):
+            self.ledger.verify(dag.id_at(ix), outcome)
 
     # -- reporting --------------------------------------------------------------
 
@@ -648,24 +671,21 @@ class Simulation:
         the cutoff, per-miner totals (unclamped), and the count of negative
         block values.
         """
-        from .rewards import _conflict_indexes
-
         dag = self.dag
         tip = self.players[0].view.tip
         stale = self.sidx.cum(tip)
         cutoff = max(0, self.config.rounds - 16 * self.config.p)
         mined_round = self.mined_round
+        core = [
+            ix
+            for ix in dag.past_indexes(tip).tolist()
+            if ix != 0 and ix not in stale and mined_round[ix] <= cutoff
+        ]
         totals: dict[int, int] = {}
         negatives = 0
         base, penalty = self.params.base, self.params.penalty
-        for ix in dag.past_indexes(tip).tolist():
-            if ix == 0 or ix in stale or mined_round[ix] > cutoff:
-                continue
-            conflicts = sum(
-                1
-                for x in _conflict_indexes(dag, self.sidx, tip, ix)
-                if mined_round[x] <= cutoff
-            )
+        counts = conflict_counts(dag, self.sidx, tip, core, among=core)
+        for ix, conflicts in zip(core, counts.tolist()):
             value = base - penalty * conflicts
             if value < 0:
                 negatives += 1

@@ -179,11 +179,6 @@ class BlockDag:
         """True iff block ``target_ix`` is reachable by references from ``of_ix``."""
         return bool((self._masks[of_ix, target_ix >> 3] >> (target_ix & 7)) & 1)
 
-    def in_past_ixs(self, of_ixs: np.ndarray, target_ix: int) -> np.ndarray:
-        """Boolean array: for each block of ``of_ixs``, whether ``target_ix`` is in its past."""
-        column = self._masks[of_ixs, target_ix >> 3]
-        return ((column >> (target_ix & 7)) & 1).astype(bool)
-
     def past_indexes(self, ix: int) -> np.ndarray:
         """Sorted array of indexes of past(ix), including ix."""
         bits = np.unpackbits(self._masks[ix], bitorder="little")

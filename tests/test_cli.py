@@ -52,11 +52,13 @@ class TestRunCommand:
             ({"beta": 0.1}, ["--strategy", "selfish:lead=0"], "selfish_lead must be at least 1"),
             ({"players": 4, "strategy": "punisher", "punisher_window": -3}, [],
              "punisher_window must be non-negative"),
+            ({"players": 4}, ["--strategy", "punisher:deviate=maybe"],
+             "punisher_deviate must be true or false"),
         ],
         ids=["base-zero", "negative-penalty", "negative-seed", "players-string", "weights-scalar",
              "withhold-k-string", "valuation-string", "check-invariants-string",
              "log-events-int", "punisher-deviate-string", "selfish-lead-zero",
-             "punisher-window-negative"],
+             "punisher-window-negative", "punisher-deviate-shorthand"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, config, flags, message):
         cfg = write_config(tmp_path, **config)

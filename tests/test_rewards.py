@@ -6,16 +6,25 @@ import pytest
 
 from dagsim.errors import FinalityViolation, StaleSubject
 from dagsim.fixtures import fork_example
-from dagsim.oracles import conflict_set_direct, random_dag, reward_direct
+import dagsim.oracles
+from dagsim.oracles import (
+    all_pasts,
+    conflict_set_direct,
+    random_dag,
+    reward_direct,
+    stale_set_direct,
+)
 from dagsim.rewards import (
     RewardLedger,
     RewardParams,
+    conflict_counts,
     conflict_set,
     finalize,
+    judge,
     reward,
 )
 from dagsim.sim import SimConfig, Simulation
-from dagsim.staleness import stale_set
+from dagsim.staleness import stale_index, stale_set
 from dagsim.store import BlockDag
 
 P = RewardParams(base=1000, penalty=10, p=3)
@@ -110,6 +119,93 @@ class TestConflictSet:
         for y in fresh[::3]:
             for z in fresh[::5]:
                 assert (y in conflict_set(dag, tip, z, 3)) == (z in conflict_set(dag, tip, y, 3))
+
+
+def simulated(strategy, p=3, rounds=240, seed=0, **kw):
+    cfg = SimConfig(alpha=0.5, beta=0.15, players=3, p=p, rounds=rounds, seed=seed,
+                    strategy=strategy, valuation=False, **kw)
+    sim = Simulation(cfg)
+    sim.run()
+    return sim, cfg.reward_params()
+
+
+@pytest.fixture
+def cached_past_bfs(monkeypatch):
+    # The oracles rebuild every past set by BFS on each query; the store is
+    # append-only, so caching those sets keeps the literal definitions and
+    # makes an all-blocks comparison affordable.
+    cache = {}
+    bfs = dagsim.oracles.past_bfs
+
+    def past_bfs(dag, bid):
+        if (id(dag), bid) not in cache:
+            cache[id(dag), bid] = bfs(dag, bid)
+        return cache[id(dag), bid]
+
+    monkeypatch.setattr(dagsim.oracles, "past_bfs", past_bfs)
+
+
+@pytest.mark.usefixtures("cached_past_bfs")
+class TestJudgeOracleGate:
+    @pytest.mark.parametrize("strategy, extra", [
+        ("withhold", dict(withhold_k=6)),  # k = 2p leaves stale blocks
+        ("selfish", {}),
+        ("no_reference", {}),
+    ], ids=["withhold_2p", "selfish", "no_reference"])
+    def test_every_fresh_block_at_chain_tips(self, strategy, extra):
+        sim, params = simulated(strategy, **extra)
+        dag, sidx = sim.dag, stale_index(sim.dag, params.p)
+        chain = sim.players[0].view.chain
+        saw_stale = False
+        for tip_ix in (chain[len(chain) // 2], chain[3 * len(chain) // 4], chain[-1]):
+            tip = dag.id_at(tip_ix)
+            stale = stale_set_direct(dag, tip, params.p)
+            saw_stale |= bool(stale)
+            past = dag.past_indexes(tip_ix).tolist()
+            outcomes = judge(dag, sidx, tip_ix, past, params)
+            fresh = [b for b in past if dag.id_at(b) not in stale]
+            counts = conflict_counts(dag, sidx, tip_ix, fresh).tolist()
+            for b, count in zip(fresh, counts):
+                assert count == len(conflict_set_direct(dag, tip, dag.id_at(b), params.p))
+            for b, out in zip(past, outcomes):
+                assert out.stale == (dag.id_at(b) in stale)
+                assert out.amount == reward_direct(dag, tip, dag.id_at(b), params)
+        assert saw_stale or strategy != "withhold"
+
+    def test_batch_larger_than_a_chunk(self):
+        sim, params = simulated("withhold", p=4, rounds=700, withhold_k=8)
+        dag, sidx = sim.dag, stale_index(sim.dag, params.p)
+        tip_ix = sim.players[0].view.tip
+        tip = dag.id_at(tip_ix)
+        stale = stale_set_direct(dag, tip, params.p)
+        pasts = all_pasts(dag)
+        fresh = [b for b in pasts[tip] if b not in stale]
+        assert stale and len(fresh) > 256
+        want = [
+            sum(1 for x in fresh if x not in pasts[b] and b not in pasts[x]) for b in fresh
+        ]
+        got = conflict_counts(dag, sidx, tip_ix, [dag.index_of(b) for b in fresh])
+        assert got.tolist() == want
+
+    def test_among_matches_brute_force_core_valuation(self):
+        sim, params = simulated("withhold", rounds=300, withhold_k=6)
+        dag, sidx = sim.dag, stale_index(sim.dag, params.p)
+        tip_ix = sim.players[0].view.tip
+        tip = dag.id_at(tip_ix)
+        stale = stale_set_direct(dag, tip, params.p)
+        cutoff = 300 - 16 * params.p
+        core = [
+            dag.index_of(b) for b in dag.past(tip)
+            if b != dag.genesis and b not in stale and sim.mined_round[dag.index_of(b)] <= cutoff
+        ]
+        core_ids = {dag.id_at(b) for b in core}
+        totals = {}
+        for b, count in zip(core, conflict_counts(dag, sidx, tip_ix, core, among=core).tolist()):
+            want = len(conflict_set_direct(dag, tip, dag.id_at(b), params.p) & core_ids)
+            assert count == want
+            m = dag.miner_of(b)
+            totals[m] = totals.get(m, 0) + params.base - params.penalty * want
+        assert sim.valuation_at_tip() == (cutoff, totals, 0)
 
 
 class TestReward:

@@ -5,7 +5,7 @@ import logging
 import pytest
 
 import dagsim.sim
-from dagsim.errors import ConfigInvalid
+from dagsim.errors import ConfigInvalid, FinalityViolation
 from dagsim.oracles import main_chain_traversal
 from dagsim.rewards import RewardLedger, finalize
 from dagsim.sim import SimConfig, Simulation, run_sweep
@@ -132,18 +132,58 @@ class TestGoldenReports:
 
 class TestFire:
     def test_one_judgement_per_entry_without_invariants(self, monkeypatch):
-        calls = []
-        judge = dagsim.sim.reward
+        judged = []
+        engine = dagsim.sim.judge
 
-        def counting(*args):
-            calls.append(args)
-            return judge(*args)
+        def counting(dag, sidx, tip_ix, subjects, params):
+            judged.extend(subjects)
+            return engine(dag, sidx, tip_ix, subjects, params)
 
-        monkeypatch.setattr(dagsim.sim, "reward", counting)
+        monkeypatch.setattr(dagsim.sim, "judge", counting)
         sim, digest = golden_sim("withhold_half_p_no_invariants")
         report = sim.run()
-        assert len(calls) == len(sim.ledger.entries)
+        assert len(judged) == len(sim.ledger.entries)
         assert sha256(report.to_json()) == digest
+
+    def test_tampered_amount_caught_at_shared_and_later_tips(self, monkeypatch):
+        # Verifies share the outcome derived for the record when they come
+        # at its tip in its round; they must still compare against the
+        # recorded amount, here altered right after it was recorded.
+        sim, _ = golden_sim("withhold_half_p")
+        dag, ledger = sim.dag, sim.ledger
+        engine = dagsim.sim.judge
+        derived_at = {}  # id(outcome) -> tip; the outcomes are kept alive
+        kept = []
+
+        def judging(dag, sidx, tip_ix, subjects, params):
+            out = engine(dag, sidx, tip_ix, subjects, params)
+            kept.append(out)
+            derived_at.update((id(o), tip_ix) for o in out)
+            return out
+
+        monkeypatch.setattr(dagsim.sim, "judge", judging)
+        target = {}
+        record, verify = ledger.record, ledger.verify
+
+        def tampering(bid, miner, outcome, tip, round_no):
+            record(bid, miner, outcome, tip, round_no)
+            if not target and bid != dag.genesis:
+                ledger.entries[bid].amount += 1
+                target.update(bid=bid, tip=dag.index_of(tip), round=round_no, caught=[])
+
+        def watching(bid, outcome):
+            try:
+                verify(bid, outcome)
+            except FinalityViolation:
+                target["caught"].append((sim._round, derived_at[id(outcome)]))
+
+        monkeypatch.setattr(ledger, "record", tampering)
+        monkeypatch.setattr(ledger, "verify", watching)
+        sim.run()
+        caught = target["caught"]
+        assert (target["round"], target["tip"]) in caught
+        assert any(r > target["round"] and t != target["tip"] for r, t in caught)
+        assert ledger.rechecks > 0
 
 
 class TestSinglePlayer:
