@@ -167,7 +167,7 @@ class TestFire:
 
         def tampering(bid, miner, outcome, tip, round_no):
             record(bid, miner, outcome, tip, round_no)
-            if not target and bid != dag.genesis:
+            if not target and bid != dag.genesis and not outcome.stale:  # an unshared outcome
                 ledger.entries[bid].amount += 1
                 target.update(bid=bid, tip=dag.index_of(tip), round=round_no, caught=[])
 
