@@ -1,7 +1,7 @@
 """DAG proof-of-work chain with fork-penalizing rewards: library and simulator."""
 
-from .chain import ChainView, determine_parent, heaviest_child, main_chain
-from .ordering import order, order_incremental
+from .chain import determine_parent, main_chain
+from .ordering import order
 from .rewards import BlockReward, RewardLedger, RewardParams, conflict_set, finalize, reward
 from .sim import SimConfig, SimReport, Simulation, run, run_sweep
 from .staleness import StaleSet, distance, is_stale, lca, stale_set
@@ -14,7 +14,6 @@ __all__ = [
     "BlockDag",
     "BlockId",
     "BlockReward",
-    "ChainView",
     "MinerId",
     "RewardLedger",
     "RewardParams",
@@ -27,13 +26,11 @@ __all__ = [
     "determine_parent",
     "distance",
     "finalize",
-    "heaviest_child",
     "is_stale",
     "lca",
     "load_dag",
     "main_chain",
     "order",
-    "order_incremental",
     "reward",
     "run",
     "run_sweep",

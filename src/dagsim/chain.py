@@ -15,133 +15,53 @@ point m, the lowest common parent-tree ancestor of one reference q and every
 block the other references add to past(q), and descends from there.  Above
 m no sibling subtree of the path to q holds an added block, so the added
 blocks only make the path heavier and the chain over the union still runs
-through m.
+through m.  ``main_chain`` is then just the parent-tree path from genesis
+to the chain end that ``determine_parent`` finds.
 
-All functions here are pure with respect to the store; views are ephemeral
-and safe to evaluate concurrently.
+All functions here are pure with respect to the store.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnknownBlock, UnknownReference
+from .errors import UnknownReference
 from .store import BlockDag, BlockId
 
 
-class ChainView:
-    """A past-closed restriction of a dag used for chain evaluation.
+def _descend(dag: BlockDag, ix: int, sizes: dict[int, int]) -> int:
+    """End of the heaviest-child path from ``ix``; smallest id wins ties.
 
-    Subtree sizes inside the view count only view members; they are
-    computed once per view by a reverse-topological sweep.  ``whole``
-    gives the global ones.  ``determine_parent`` builds no view: it sizes
-    only the part of the union of pasts below its fork point.
+    ``sizes`` holds the in-view subtree size of every view member at or
+    below ``ix``; a child without an entry lies outside the view.
     """
-
-    def __init__(self, dag: BlockDag, member_ixs: set[int], *, _trusted: bool = False):
-        self.dag = dag
-        self._members = member_ixs
-        if not _trusted:
-            self._check_closed()
-        self._sizes: dict[int, int] | None = None
-
-    def _check_closed(self) -> None:
-        ref_ixs = self.dag._ref_ixs
-        for ix in self._members:
-            for r in ref_ixs[ix]:
-                if r not in self._members:
-                    raise ValueError("view is not closed under references")
-
-    @classmethod
-    def from_refs(cls, dag: BlockDag, refs: list[BlockId] | tuple[BlockId, ...]) -> "ChainView":
-        """View over the union of the references' pasts."""
-        try:
-            ref_ixs = [dag._index[r] for r in refs]
-        except KeyError as exc:
-            raise UnknownReference(exc.args[0].hex()) from None
-        mask = np.zeros_like(dag.mask_row(0))
-        for r in ref_ixs:
-            np.bitwise_or(mask, dag.mask_row(r), out=mask)
-        bits = np.unpackbits(mask, bitorder="little")[: len(dag)]
-        return cls(dag, set(np.nonzero(bits)[0].tolist()), _trusted=True)
-
-    @classmethod
-    def whole(cls, dag: BlockDag) -> "ChainView":
-        return cls(dag, set(range(len(dag))), _trusted=True)
-
-    def __contains__(self, bid: BlockId) -> bool:
-        ix = self.dag._index.get(bid)
-        return ix is not None and ix in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def children_in_view(self, bid: BlockId) -> list[BlockId]:
-        if bid not in self:
-            raise UnknownBlock(bid.hex())
-        dag = self.dag
-        return [dag.id_at(c) for c in dag._children_ix[dag._index[bid]] if c in self._members]
-
-    def subtree_size(self, bid: BlockId) -> int:
-        if bid not in self:
-            raise UnknownBlock(bid.hex())
-        return self._size_table()[self.dag.index_of(bid)]
-
-    def _size_table(self) -> dict[int, int]:
-        if self._sizes is None:
-            sizes = {ix: 1 for ix in self._members}
-            parent_ix = self.dag._parent_ix
-            # Children precede parents when walking indexes downward.
-            for ix in sorted(self._members, reverse=True):
-                p = parent_ix[ix]
-                if p >= 0:
-                    # Closure puts every member's parent inside the view.
-                    sizes[p] += sizes[ix]
-            self._sizes = sizes
-        return self._sizes
+    ids, children = dag._ids, dag._children_ix
+    while True:
+        best, best_size = None, 0
+        for c in children[ix]:
+            s = sizes.get(c)
+            if s is not None and (s > best_size or (s == best_size and ids[c] < ids[best])):
+                best, best_size = c, s
+        if best is None:
+            return ix
+        ix = best
 
 
-def _heaviest_child_ix(dag: BlockDag, ix: int, sizes: dict[int, int]) -> int | None:
-    """Child of ``ix`` with the largest entry in ``sizes``; smallest id wins ties.
+def main_chain(
+    dag: BlockDag, refs: list[BlockId] | tuple[BlockId, ...] | None = None
+) -> list[BlockId]:
+    """Genesis-to-end chain over the union of the references' pasts.
 
-    A child without an entry lies outside the view.  This is the one
-    tie-break of chain selection: both descents below use it.
+    Without ``refs`` (or with an empty list) the chain runs over the whole
+    dag.  Every descent is a parent-tree path, so the chain is the path
+    from genesis to ``determine_parent``'s chain end.
     """
-    ids = dag._ids
-    best: int | None = None
-    best_size = 0
-    for c in dag._children_ix[ix]:
-        s = sizes.get(c)
-        if s is None:
-            continue
-        if s > best_size or (s == best_size and ids[c] < ids[best]):
-            best, best_size = c, s
-    return best
-
-
-def _descend(dag: BlockDag, ix: int, sizes: dict[int, int]) -> list[int]:
-    """Heaviest-child path from ``ix`` down to a leaf of the view."""
-    path = [ix]
-    while (ix := _heaviest_child_ix(dag, ix, sizes)) is not None:
-        path.append(ix)
-    return path
-
-
-def heaviest_child(view: ChainView, bid: BlockId) -> BlockId | None:
-    """Child of ``bid`` with the largest in-view subtree; smallest id wins ties."""
-    if bid not in view:
-        raise UnknownBlock(bid.hex())
-    dag = view.dag
-    child = _heaviest_child_ix(dag, dag._index[bid], view._size_table())
-    return None if child is None else dag._ids[child]
-
-
-def main_chain(view: ChainView) -> list[BlockId]:
-    """Genesis-to-leaf chain selected by heaviest-subtree descent."""
-    if len(view) == 0:
-        raise ValueError("empty view")
-    ids = view.dag._ids
-    return [ids[ix] for ix in _descend(view.dag, 0, view._size_table())]
+    ix = dag.index_of(determine_parent(dag, refs or dag.tips()))
+    path = []
+    while ix >= 0:
+        path.append(dag._ids[ix])
+        ix = dag._parent_ix[ix]
+    return path[::-1]
 
 
 def determine_parent(dag: BlockDag, refs: list[BlockId] | tuple[BlockId, ...]) -> BlockId:
@@ -187,4 +107,4 @@ def determine_parent(dag: BlockDag, refs: list[BlockId] | tuple[BlockId, ...]) -
         p = parent_ix[ix]
         if p >= m:
             sizes[p] += sizes[ix]
-    return dag._ids[_descend(dag, m, sizes)[-1]]
+    return dag._ids[_descend(dag, m, sizes)]

@@ -11,10 +11,10 @@ import random
 from dataclasses import dataclass
 
 from . import oracles
-from .chain import ChainView, determine_parent, main_chain
+from .chain import determine_parent, main_chain
 from .errors import StaleSubject
 from .fixtures import fork_example
-from .ordering import order, order_incremental
+from .ordering import order
 from .rewards import RewardLedger, conflict_set, finalize
 from .staleness import distance, lca, stale_set
 from .store import BlockDag
@@ -60,8 +60,6 @@ def check_ordering(seed: int = 12) -> CheckResult:
                 prev = order(dag, blk.parent)
                 if got[: len(prev)] != prev:
                     return CheckResult("ordering", False, "parent order is not a prefix")
-                if order_incremental(dag, prev, bid) != got:
-                    return CheckResult("ordering", False, "incremental order differs")
     return CheckResult("ordering", True)
 
 
@@ -82,19 +80,9 @@ def check_parent_consistency(dag_override: BlockDag | None = None, seed: int = 1
     return CheckResult("parent-consistency", True)
 
 
-def check_view_sizes(seed: int = 14) -> CheckResult:
-    for dag in _sample_dags(seed):
-        want = oracles.subtree_sizes_traversal(dag)
-        view = ChainView.whole(dag)
-        for bid in dag:
-            if view.subtree_size(bid) != want[bid]:
-                return CheckResult("subtree-sizes", False, "whole-dag view size mismatch")
-    return CheckResult("subtree-sizes", True)
-
-
 def check_chain_selection(seed: int = 15) -> CheckResult:
     for dag in _sample_dags(seed):
-        got = main_chain(ChainView.whole(dag))
+        got = main_chain(dag)
         want = oracles.main_chain_traversal(dag, set(dag))
         if got != want:
             return CheckResult("chain-selection", False, "whole-dag chain mismatch")
@@ -109,7 +97,7 @@ def check_chain_selection(seed: int = 15) -> CheckResult:
 
 def check_staleness(seed: int = 16, p: int = 3) -> CheckResult:
     for dag in _sample_dags(seed):
-        chain = main_chain(ChainView.whole(dag))
+        chain = main_chain(dag)
         tips = [chain[-1], chain[len(chain) // 2]]
         for tip in tips:
             got = stale_set(dag, tip, p).members
@@ -129,7 +117,7 @@ def check_staleness(seed: int = 16, p: int = 3) -> CheckResult:
 def check_conflicts(seed: int = 17, p: int = 3) -> CheckResult:
     rng = random.Random(seed)
     for dag in _sample_dags(seed, sizes=(40, 90)):
-        tip = main_chain(ChainView.whole(dag))[-1]
+        tip = main_chain(dag)[-1]
         stale = stale_set(dag, tip, p).members
         fresh = [b for b in dag.past(tip) if b not in stale]
         for bid in fresh:
@@ -149,7 +137,7 @@ def check_conflict_stability(seed: int = 18, p: int = 2) -> CheckResult:
     """Sets stop changing once the chain has moved far enough past a block."""
     rng = random.Random(seed)
     dag = oracles.random_dag(rng, 160, recency=4.0)
-    chain = main_chain(ChainView.whole(dag))
+    chain = main_chain(dag)
     for i in range(1, len(chain)):
         tip, parent_tip = chain[i], chain[i - 1]
         for bid in dag.past(parent_tip):
@@ -236,7 +224,6 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         results.append(check_parent_consistency())
     results.extend(
         [
-            check_view_sizes(),
             check_chain_selection(),
             check_staleness(),
             check_conflicts(),

@@ -41,10 +41,6 @@ class StaleSubject(DagError):
     """Conflict sets are undefined for blocks that are stale at the tip."""
 
 
-class PrefixMismatch(DagError):
-    """The supplied previous ordering does not belong to the block's parent."""
-
-
 class FinalityViolation(DagError):
     """A finalized reward changed under a later main chain.
 

@@ -71,30 +71,12 @@ def order_recursive(dag: BlockDag, bid: BlockId) -> list[BlockId]:
         sys.setrecursionlimit(limit)
 
 
-def subtree_sizes_traversal(dag: BlockDag) -> dict[BlockId, int]:
-    """Parent-tree subtree sizes by full traversal, over parent edges alone."""
-    kids: dict[BlockId, list[BlockId]] = {bid: [] for bid in dag}
-    for bid in dag:
-        p = dag.get(bid).parent
-        if p is not None:
-            kids[p].append(bid)
-    sizes: dict[BlockId, int] = {}
-    for bid in dag:
-        total = 0
-        stack = [bid]
-        while stack:
-            b = stack.pop()
-            total += 1
-            stack.extend(kids[b])
-        sizes[bid] = total
-    return sizes
-
-
 def main_chain_traversal(dag: BlockDag, members: set[BlockId]) -> list[BlockId]:
     """Chain selection recomputed from scratch over a member set.
 
     Children and in-view subtree sizes are rebuilt from the parent edges
-    alone, so this shares nothing with the ChainView implementation.
+    alone, so this shares nothing with ``determine_parent``'s fork-point
+    descent.
     """
     kids: dict[BlockId, list[BlockId]] = {m: [] for m in members}
     for m in members:

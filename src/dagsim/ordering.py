@@ -10,7 +10,6 @@ a single chain walk with no recursion.
 
 from __future__ import annotations
 
-from .errors import PrefixMismatch, UnknownBlock
 from .store import BlockDag, BlockId
 
 
@@ -32,30 +31,4 @@ def order(dag: BlockDag, bid: BlockId) -> list[BlockId]:
     for step in chain[1:]:
         out.extend(ids[j] for j in dag.delta_past_ix(step))
         out.append(ids[step])
-    return out
-
-
-def order_incremental(dag: BlockDag, prev_order: list[BlockId], bid: BlockId) -> list[BlockId]:
-    """Extend the parent's order to ``bid`` without recomputing the prefix.
-
-    ``prev_order`` must be order(parent(bid)); cheap structural checks
-    (length, endpoints) guard against passing the wrong list.
-    """
-    ix = dag.index_of(bid)
-    pix = dag.parent_index(ix)
-    if pix < 0:
-        raise UnknownBlock("genesis has no parent order to extend")
-    parent_id = dag.id_at(pix)
-    if (
-        not prev_order
-        or prev_order[0] != dag.genesis
-        or prev_order[-1] != parent_id
-        or len(prev_order) != dag.past_size(pix)
-    ):
-        raise PrefixMismatch("previous order does not match the block's parent")
-
-    ids = dag._ids
-    out = list(prev_order)
-    out.extend(ids[j] for j in dag.delta_past_ix(ix))
-    out.append(bid)
     return out

@@ -5,7 +5,10 @@ honest players mine on everything announced through the previous round and
 broadcast at once, then the adversary inspects the round's honest blocks
 and decides its announcements.  Broadcasts reach every player one round
 later; announcing to a subset of players delays the rest by exactly one
-extra round (honest players re-diffuse everything).
+extra round (honest players re-diffuse everything).  The core loop itself
+follows the protocol: the ``punisher`` scenario has no adversary and
+instead lets a script (``strategies.PunisherScript``) place and delay
+some honest players' blocks.
 
 All randomness flows from the configured seed through one pinned generator
 family (numpy PCG64).  Per round the draw order is: adversary block count,
@@ -38,7 +41,7 @@ from .errors import ConfigInvalid
 from .rewards import BlockReward, RewardLedger, RewardParams, conflict_counts, judge
 from .staleness import StaleIndex, stale_index
 from .store import BlockDag, GENESIS_MINER
-from .strategies import Release, Strategy, make_strategy
+from .strategies import PunisherScript, Release, Strategy, make_strategy
 from .views import EXTEND, REORG, PlayerView
 
 RNG_FAMILY = "numpy-pcg64"
@@ -146,6 +149,10 @@ class SimConfig:
             raise ConfigInvalid("selfish_lead must be at least 1")
         if self.punisher_window < 0:
             raise ConfigInvalid("punisher_window must be non-negative")
+        # A negative depth forks above the tip; a negative delay announces in the past.
+        for name in ("punisher_fork_depth", "punisher_withhold"):
+            if (getattr(self, name) or 0) < 0:
+                raise ConfigInvalid(f"{name} must be non-negative")
         if self.strategy == "punisher":
             if self.beta != 0:
                 raise ConfigInvalid("the punisher scenario scripts honest-pool players; beta must be 0")
@@ -274,8 +281,9 @@ class Simulation:
         self.dag = BlockDag()
         self.n = config.players
         self.players = [_Player(self.dag) for _ in range(self.n)]
-        self.scripted = config.strategy == "punisher"
-        self.adv_id: int | None = None if self.scripted else self.n
+        # The punisher scenario scripts honest-pool players and has no adversary.
+        self.script = PunisherScript(config) if config.strategy == "punisher" else None
+        self.adv_id: int | None = None if self.script else self.n
         self.adv_view = PlayerView(self.dag)
         self.public_view = PlayerView(self.dag)
         self._public_orphans: list[int] = []
@@ -285,7 +293,7 @@ class Simulation:
         s_main, s_strat = ss.spawn(2)
         self.rng = np.random.Generator(np.random.PCG64(s_main))
         self.strategy: Strategy | None = None
-        if not self.scripted:
+        if self.script is None:
             self.strategy = strategy_obj if strategy_obj is not None else make_strategy(config)
             self.strategy.bind(
                 StrategyContext(
@@ -299,11 +307,8 @@ class Simulation:
             )
 
         self.sidx = stale_index(self.dag, config.p)
-        honest_miners = set(range(self.n))
-        if self.scripted:
-            honest_miners = {0, 1}  # scripted players 2 and 3 may deviate
-        self.honest_miners = honest_miners
-        self.flags = _StaleFlags(self.dag, self.sidx, honest_miners)
+        honest = self.script.honest if self.script else set(range(self.n))
+        self.flags = _StaleFlags(self.dag, self.sidx, honest)
 
         self.ledger = RewardLedger()
         self._pending: list[tuple[int, int]] = []  # (block, tip) burials this round
@@ -318,19 +323,6 @@ class Simulation:
         self.inclusion_checked = 0
         self.inclusion_missed = 0
         self.events: list[dict] | None = [] if config.log_events else None
-
-        # Punisher scenario state.
-        self._pun_triggered = False
-        self._pun_fork_depth = (
-            config.punisher_fork_depth
-            if config.punisher_fork_depth is not None
-            else config.p // 2
-        )
-        self._pun_withhold = (
-            config.punisher_withhold
-            if config.punisher_withhold is not None
-            else max(0, config.p // 2 - 2)
-        )
 
     # -- block creation ------------------------------------------------------
 
@@ -539,46 +531,25 @@ class Simulation:
         # A player knows its own finds instantly, so its same-round blocks
         # chain; blocks of different players in one round still fork.
         own_prev: dict[int, int] = {}
+        ids = self.dag._ids
         for owner in owners.tolist():
             view = self.players[owner].view
-            ids = self.dag._ids
-            if self.scripted and owner == 3 and self._pun_triggered:
-                anchor_depth = max(0, self.dag.depth_of(view.tip) - self._pun_fork_depth)
-                anchor = self.dag.ancestor_at(view.tip, anchor_depth)
-                refs = [ids[anchor]]
-                hint = ids[anchor]
-                announce_at = round_no + self._pun_withhold
+            prev, announce_at = own_prev.get(owner), round_no
+            if self.script is not None:
+                anchor, announce_at = self.script.plan(owner, round_no, self.dag, view.tip)
+                if anchor is not None:
+                    prev = anchor
+            if prev is not None:
+                refs = [ids[prev]]
+                hint = ids[prev]
             else:
-                prev = own_prev.get(owner)
-                if prev is not None:
-                    refs = [ids[prev]]
-                    hint = ids[prev]
-                else:
-                    refs = [ids[j] for j in view.sorted_tips()]
-                    hint = ids[view.tip]
-                announce_at = round_no
-                if (
-                    self.scripted
-                    and owner == 2
-                    and self.config.punisher_deviate
-                    and round_no <= self.config.punisher_window
-                ):
-                    announce_at = self.config.punisher_window + 1
+                refs = [ids[j] for j in view.sorted_tips()]
+                hint = ids[view.tip]
             ix = self._mine(round_no, refs, owner, hint)
             own_prev[owner] = ix
             self._broadcast_honest(ix, owner, round_no, announce_at)
             mined.append(ix)
         return mined
-
-    # -- punisher scenario -------------------------------------------------------
-
-    def _punisher_trigger(self, round_no: int) -> None:
-        if self._pun_triggered or round_no != self.config.punisher_window + 1:
-            return
-        view = self.players[3].view
-        seen_from = {self.dag.miner_of(ix) for ix in view.known}
-        if all(j in seen_from for j in (0, 1, 2)):
-            self._pun_triggered = True
 
     # -- main loop -----------------------------------------------------------------
 
@@ -596,8 +567,8 @@ class Simulation:
                 if self.flags(self.players[j].view.tip):
                     self.honest_stale_events += 1
             self._judge_pending()
-            if self.scripted:
-                self._punisher_trigger(r)
+            if self.script is not None:
+                self.script.observe(r, self.dag, [pl.view for pl in self.players])
 
             # Inclusion deadline check for blocks announced 4p rounds ago.
             batch = self._announce_log.pop(r - horizon, None)

@@ -82,7 +82,8 @@ class BlockDag:
     The genesis block (empty payload, no references, reserved miner id) is
     created by the constructor.  ``_index`` maps an id to its insertion
     index, which every other field is a list over; parent-tree subtree
-    sizes are not stored (``chain.ChainView`` computes them).
+    sizes are not stored (``chain.determine_parent`` sizes only the part
+    of a view below its fork point).
     ``check_parents`` makes ``insert`` verify parent hints.
     """
 
@@ -231,16 +232,13 @@ class BlockDag:
         miner: MinerId,
         *,
         parent: BlockId | None = None,
-        claim_honest: bool = False,
     ) -> Block:
         """Append a block; returns the stored Block with its derived parent.
 
         All references must already be present (the store does not buffer
         orphans).  ``parent`` lets callers that have already run chain
         selection skip recomputing it; with ``check_parents`` enabled the
-        hint is verified against the selection rule.  ``claim_honest``
-        additionally asserts the protocol property that an honestly built
-        block's parent is one of its references.
+        hint is verified against the selection rule.
 
         Every stored parent must be the chain end over the union of its
         block's references' pasts: ``chain.determine_parent`` starts its
@@ -270,8 +268,6 @@ class BlockDag:
             raise ValueError(
                 f"parent hint {parent.hex()[:12]} contradicts the chain selection rule"
             )
-        if claim_honest and parent not in refs:
-            raise ValueError("honest construction must reference its own parent")
 
         block = Block(id=bid, payload=payload, refs=tuple(refs), miner=miner, parent=parent)
         ix = len(self._ids)

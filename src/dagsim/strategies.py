@@ -1,10 +1,14 @@
-"""Adversary behaviors for the round simulator.
+"""Adversary behaviors and honest-pool scripts for the round simulator.
 
 A strategy is consulted twice per round: while mining (choosing the
 references of each block, before any of the round's honest messages are
 visible) and after the round's honest messages arrive (choosing which
 withheld blocks to announce, optionally to a subset of players first).
 Strategies are total: they never fail, whatever the state.
+
+A script instead steers some of the honest players themselves: the
+simulator asks it where each honest block goes and when it is announced,
+and shows it the players' views once per round.
 """
 
 from __future__ import annotations
@@ -146,6 +150,48 @@ class SelfishStrategy(Strategy):
             self._released += 1
             return out
         return []
+
+
+class PunisherScript:
+    """The four-player threat equilibrium, played by the honest pool.
+
+    Players 0 and 1 follow the protocol.  Player 2 is scripted to stay
+    silent through round ``window`` and announce its blocks in round
+    ``window + 1``; with ``deviate`` off it broadcasts like everyone else.
+    Player 3 punishes a broken script: if by round ``window + 1`` its view
+    holds blocks of players 0, 1 and 2, each of its later blocks references
+    only the ancestor ``fork_depth`` levels below its tip and is withheld
+    for ``withhold`` rounds.  Only players 0 and 1 count as honest.
+    """
+
+    honest = frozenset({0, 1})
+
+    def __init__(self, config):
+        self.window = config.punisher_window
+        self.deviate = config.punisher_deviate
+        fork_depth, withhold = config.punisher_fork_depth, config.punisher_withhold
+        self.fork_depth = config.p // 2 if fork_depth is None else fork_depth
+        self.withhold = max(0, config.p // 2 - 2) if withhold is None else withhold
+        self.triggered = False
+
+    def observe(self, round_no: int, dag, views) -> None:
+        """Arm the punishment at round ``window + 1`` if player 3 saw 0, 1 and 2 mine."""
+        if self.triggered or round_no != self.window + 1:
+            return
+        seen_from = {dag.miner_of(ix) for ix in views[3].known}
+        self.triggered = all(j in seen_from for j in (0, 1, 2))
+
+    def plan(self, owner: int, round_no: int, dag, tip: int) -> tuple[int | None, int]:
+        """Sole reference of ``owner``'s next block and its announce round.
+
+        A reference of None leaves the protocol's choice in place.
+        """
+        if owner == 3 and self.triggered:
+            anchor = dag.ancestor_at(tip, max(0, dag.depth_of(tip) - self.fork_depth))
+            return anchor, round_no + self.withhold
+        if owner == 2 and self.deviate and round_no <= self.window:
+            return None, self.window + 1
+        return None, round_no
 
 
 def make_strategy(config) -> Strategy:

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from dagsim import oracles
-from dagsim.chain import ChainView, main_chain
+from dagsim.chain import main_chain
 from dagsim.fixtures import fork_example
 from dagsim.ordering import order
 from dagsim.rewards import conflict_set
@@ -135,7 +135,7 @@ def test_criterion_1_oracle_equivalence():
             if order(dag, bid) != oracles.order_recursive(dag, bid):
                 mismatches += 1
 
-        tip = main_chain(ChainView.whole(dag))[-1]
+        tip = main_chain(dag)[-1]
         direct_stale = oracles.stale_set_direct(dag, tip, 3)
         if set(stale_set(dag, tip, 3).members) != direct_stale:
             mismatches += 1

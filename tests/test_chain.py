@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from dagsim.chain import ChainView, determine_parent, heaviest_child, main_chain
-from dagsim.errors import UnknownBlock, UnknownReference
+from dagsim.chain import determine_parent, main_chain
+from dagsim.errors import UnknownReference
 from dagsim.fixtures import fork_example
 from dagsim.oracles import all_pasts, main_chain_traversal, past_bfs, random_dag
 from dagsim.sim import SimConfig, Simulation
 from dagsim.store import BlockDag
 
 
-def test_heaviest_child_of_leaf_is_none():
+def test_chain_over_a_leaf_ends_there():
     dag = BlockDag()
-    assert heaviest_child(ChainView.whole(dag), dag.genesis) is None
+    leaf = dag.insert(b"leaf", [dag.genesis], 0).id
+    assert main_chain(dag, [leaf]) == [dag.genesis, leaf]
 
 
 def test_heavier_subtree_wins():
@@ -21,44 +22,40 @@ def test_heavier_subtree_wins():
     tip = x
     for i in range(2):  # x's subtree grows to 3
         tip = dag.insert(b"x%d" % i, [tip], 0).id
-    dag.insert(b"y", [dag.genesis], 1)
-    view = ChainView.whole(dag)
-    assert view.subtree_size(x) == 3
-    assert heaviest_child(view, dag.genesis) == x
+    y = dag.insert(b"y", [dag.genesis], 1).id
+    assert main_chain(dag)[1] == x
+    assert main_chain(dag, [tip, y])[1] == x
 
 
 def test_equal_subtrees_break_toward_smaller_id():
     dag = BlockDag()
     a = dag.insert(b"a", [dag.genesis], 0).id
     b = dag.insert(b"b", [dag.genesis], 1).id
-    assert heaviest_child(ChainView.whole(dag), dag.genesis) == min(a, b)
+    assert main_chain(dag) == main_chain(dag, [b, a]) == [dag.genesis, min(a, b)]
 
 
 def test_main_chain_of_genesis_only():
     dag = BlockDag()
-    assert main_chain(ChainView.whole(dag)) == [dag.genesis]
+    assert main_chain(dag) == [dag.genesis]
 
 
 def test_fixture_chain_passes_through_heavy_branch():
     fx = fork_example()
-    # Without the observer block: the contested fork as drawn.
-    eight = ChainView.from_refs(fx.dag, [fx.d, fx.cw])
-    assert eight.subtree_size(fx.b) == 4  # b, c, cu, d
-    assert eight.subtree_size(fx.u) == 1
-    assert eight.subtree_size(fx.w) == 2
-    assert main_chain(eight) == [fx.g, fx.b, fx.c, fx.d]
-    assert main_chain(ChainView.whole(fx.dag)) == [fx.g, fx.b, fx.c, fx.d, fx.t]
+    # Without the observer block: the contested fork as drawn, where b's
+    # subtree (b, c, cu, d) outweighs u's (u) and w's (w, cw).
+    assert main_chain(fx.dag, [fx.d, fx.cw]) == [fx.g, fx.b, fx.c, fx.d]
+    assert main_chain(fx.dag) == [fx.g, fx.b, fx.c, fx.d, fx.t]
 
 
 def test_random_chain_matches_from_scratch_evaluation():
     dag = random_dag(random.Random(12), 200)
-    assert main_chain(ChainView.whole(dag)) == main_chain_traversal(dag, set(dag))
+    assert main_chain(dag) == main_chain_traversal(dag, set(dag))
 
 
 def test_chain_deterministic_for_fixed_view():
     dag = random_dag(random.Random(13), 80)
-    view = ChainView.whole(dag)
-    assert main_chain(view) == main_chain(view)
+    refs = list(dag)[-3:]
+    assert main_chain(dag, refs) == main_chain(dag, refs)
 
 
 class TestDetermineParent:
@@ -124,8 +121,6 @@ def test_parent_can_fall_outside_adversarial_refs():
     assert winner == e and winner not in refs
     members = set().union(*(past_bfs(dag, ref) for ref in refs))
     assert winner == main_chain_traversal(dag, members)[-1]
-    with pytest.raises(ValueError):
-        dag.insert(b"claimed-honest", refs, 4, claim_honest=True)
     stored = dag.insert(b"adversarial", refs, 4)
     assert stored.parent == e
 
@@ -155,54 +150,30 @@ class TestParentOracleGate:
             refs = rng.sample(ids, rng.randint(2, 6))
             assert determine_parent(dag, refs) == oracle_parent(dag, refs, pasts)
 
-    @pytest.mark.parametrize("strategy", ["selfish", "no_reference", "withhold"])
+    @pytest.mark.parametrize("strategy", ["selfish", "no_reference", "withhold", "punisher"])
     def test_simulated_dags(self, strategy):
-        # withhold_k = 2p leaves stale blocks at the tip.
-        cfg = SimConfig(alpha=0.5, beta=0.12, players=3, p=4, rounds=1500, seed=5,
-                        strategy=strategy, withhold_k=8, valuation=False,
-                        check_invariants=False)
+        # withhold_k = 2p leaves stale blocks at the tip; so do punishment
+        # blocks withheld for more than p rounds.
+        pool = dict(beta=0.0, players=4) if strategy == "punisher" else dict(beta=0.12, players=3)
+        cfg = SimConfig(alpha=0.5, p=4, rounds=1500, seed=5, strategy=strategy, withhold_k=8,
+                        punisher_window=30, punisher_deviate=False, punisher_withhold=8,
+                        valuation=False, check_invariants=False, **pool)
         sim = Simulation(cfg)
         sim.run()
         dag = sim.dag
+        assert sim.sidx.cum(sim.players[0].view.tip)
         pasts = all_pasts(dag)
         for bid in list(dag)[1:]:
             refs = list(dag.get(bid).refs)
             assert determine_parent(dag, refs) == oracle_parent(dag, refs, pasts)
-
-
-class TestChainView:
-    def test_restricted_sizes_count_only_members(self):
-        fx = fork_example()
-        view = ChainView.from_refs(fx.dag, [fx.c])
-        assert len(view) == 4  # g, b, u, c
-        assert view.subtree_size(fx.b) == 2  # b and c; cu/d are outside
-        assert view.subtree_size(fx.g) == 4
-
-    def test_from_refs_builds_union_of_pasts(self):
-        fx = fork_example()
-        view = ChainView.from_refs(fx.dag, [fx.c, fx.cw])
-        assert fx.cw in view and fx.u in view and fx.d not in view
-
-    def test_unclosed_member_set_rejected(self):
-        fx = fork_example()
-        with pytest.raises(ValueError):
-            ChainView(fx.dag, {fx.dag.index_of(fx.c)})
-
-    def test_children_in_view_filters_outsiders(self):
-        fx = fork_example()
-        view = ChainView.from_refs(fx.dag, [fx.c])
-        assert view.children_in_view(fx.b) == [fx.c]
-
-    def test_unknown_block_raises(self):
-        fx = fork_example()
-        view = ChainView.from_refs(fx.dag, [fx.c])
-        with pytest.raises(UnknownBlock):
-            view.subtree_size(fx.d)
+        assert main_chain(dag) == main_chain_traversal(dag, set(dag))
+        for player in sim.players:
+            view = player.view
+            assert [dag.id_at(i) for i in view.chain] == main_chain(dag, [dag.id_at(view.tip)])
 
 
 def test_restricted_view_chain_matches_oracle():
     dag = random_dag(random.Random(15), 100)
     some_tip = list(dag)[-1]
-    view = ChainView.from_refs(dag, [some_tip])
     members = dag.past(some_tip)
-    assert main_chain(view) == main_chain_traversal(dag, members)
+    assert main_chain(dag, [some_tip]) == main_chain_traversal(dag, members)

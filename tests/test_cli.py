@@ -54,11 +54,18 @@ class TestRunCommand:
              "punisher_window must be non-negative"),
             ({"players": 4}, ["--strategy", "punisher:deviate=maybe"],
              "punisher_deviate must be true or false"),
+            ({"players": 4, "alpha": 0.9, "p": 6, "rounds": 100, "punisher_window": 15},
+             ["--strategy", "punisher:fork_depth=-1,deviate=false"],
+             "punisher_fork_depth must be non-negative"),
+            ({"players": 4, "alpha": 0.9, "p": 6, "rounds": 100, "punisher_window": 15},
+             ["--strategy", "punisher:withhold=-3,deviate=false"],
+             "punisher_withhold must be non-negative"),
         ],
         ids=["base-zero", "negative-penalty", "negative-seed", "players-string", "weights-scalar",
              "withhold-k-string", "valuation-string", "check-invariants-string",
              "log-events-int", "punisher-deviate-string", "selfish-lead-zero",
-             "punisher-window-negative", "punisher-deviate-shorthand"],
+             "punisher-window-negative", "punisher-deviate-shorthand",
+             "punisher-fork-depth-negative", "punisher-withhold-negative"],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, config, flags, message):
         cfg = write_config(tmp_path, **config)

@@ -1,13 +1,11 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagsim.errors import PrefixMismatch
 from dagsim.fixtures import fork_example
 from dagsim.oracles import all_pasts, order_recursive, random_dag
-from dagsim.ordering import order, order_incremental
+from dagsim.ordering import order
 from dagsim.store import BlockDag
 
 
@@ -20,26 +18,6 @@ def test_fixture_orders():
     fx = fork_example()
     assert order(fx.dag, fx.c) == [fx.g, fx.b, fx.u, fx.c]
     assert order(fx.dag, fx.d) == [fx.g, fx.b, fx.u, fx.c, fx.cu, fx.d]
-
-
-def test_incremental_extends_genesis():
-    dag = BlockDag()
-    b = dag.insert(b"b", [dag.genesis], 0).id
-    assert order_incremental(dag, [dag.genesis], b) == [dag.genesis, b]
-
-
-def test_incremental_fixture():
-    fx = fork_example()
-    prev = order(fx.dag, fx.c)
-    assert order_incremental(fx.dag, prev, fx.d) == order(fx.dag, fx.d)
-
-
-def test_incremental_rejects_wrong_prefix():
-    fx = fork_example()
-    with pytest.raises(PrefixMismatch):
-        order_incremental(fx.dag, order(fx.dag, fx.u), fx.d)
-    with pytest.raises(PrefixMismatch):
-        order_incremental(fx.dag, [], fx.d)
 
 
 @settings(max_examples=20, deadline=None)
@@ -65,12 +43,11 @@ def test_order_properties(seed, size):
         for b in seq:
             for r in dag.get(b).refs:
                 assert pos[r] < pos[b]
-        # Parent's order is a strict prefix; incremental agrees.
+        # Parent's order is a strict prefix.
         blk = dag.get(bid)
         if blk.parent is not None:
             prev = order(dag, blk.parent)
             assert seq[: len(prev)] == prev and len(prev) < len(seq)
-            assert order_incremental(dag, prev, bid) == seq
 
 
 def test_same_blocks_different_insertion_order_same_result():

@@ -80,6 +80,7 @@ class TestDeterminism:
 
 GOLDEN_BASE = dict(alpha=0.5, beta=0.2, players=5, p=20, rounds=800,
                    base=1_000_000, penalty=2_500, seed=7)
+PUNISHER = dict(strategy="punisher", beta=0.0, players=4, punisher_window=15)
 # sha256 of SimReport.to_json() for GOLDEN_BASE plus each override. A
 # change that alters a report must say so and update the pin.
 GOLDEN_REPORTS = {
@@ -106,6 +107,20 @@ GOLDEN_REPORTS = {
     "withhold_half_p_no_invariants": (
         dict(strategy="withhold", withhold_k=10, check_invariants=False),
         "9efd72e541fc9f25ace4539e58728b6aee73e59374d3e666fc9d46386f1ba678",
+    ),
+    # The scripted player stays silent, so the punisher never triggers.
+    "punisher_silent": (
+        dict(PUNISHER, punisher_deviate=True),
+        "9d7af5856376e8fa4d2d5cccb379f6fa0ab4b07ac8a89ba175aa3f74f852089d",
+    ),
+    "punisher_triggered": (
+        dict(PUNISHER, punisher_deviate=False),
+        "54b74d900a740f168d1bdc5bc234b643dcf2ed9863275696e09ebad1961197d1",
+    ),
+    # Punishment blocks withheld past p go stale; none of them is honest.
+    "punisher_stale": (
+        dict(PUNISHER, punisher_deviate=False, punisher_withhold=25),
+        "5e0ce890c1ff7430d9ab2446e1ddad642b5810ea35b26c04dd8fc279f2036883",
     ),
 }
 
@@ -342,10 +357,10 @@ class TestPunisherScenario:
                   strategy="punisher", punisher_window=15, valuation=False)
         silent = Simulation(SimConfig(seed=0, punisher_deviate=True, **kw))
         silent.run()
-        assert not silent._pun_triggered
+        assert not silent.script.triggered
         honest = Simulation(SimConfig(seed=0, punisher_deviate=False, **kw))
         honest.run()
-        assert honest._pun_triggered
+        assert honest.script.triggered
 
     def test_breaking_the_script_costs_the_silent_player(self):
         # The window and depth are sized so the punishment overwhelms the
