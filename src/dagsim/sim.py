@@ -19,9 +19,11 @@ Identical configurations therefore produce bit-identical reports.
 Rewards are finalized by every honest player from its own chain as soon as
 a block is buried beyond twice the staleness window; all players share one
 ledger, so later finalizations of the same block re-derive the amount and
-must reproduce it exactly.  Burials are queued as (block, player's tip)
-and judged after each round's deliveries, once per distinct pair and
-batched per tip; records and verifies then apply in burial order.
+must reproduce it exactly.  Players whose deliveries have been identical
+share one view (a delivery group), so a burial is queued once per group
+as (block, tip, members) and judged after each round's deliveries, once
+per distinct pair and batched per tip; records and verifies then apply
+in burial order, one per member.
 """
 
 from __future__ import annotations
@@ -189,17 +191,32 @@ class StrategyContext:
 
 
 class _Player:
-    """Honest participant: view plus finalization scheduling state."""
+    """A delivery group: the honest players in ``members`` (ascending), whose
+    deliveries have been identical so far, share one view and one
+    finalization schedule, and each of its events counts once per member.
+    """
 
-    __slots__ = ("view", "deliveries", "orphans", "due", "awaiting", "done")
+    __slots__ = ("view", "deliveries", "orphans", "due", "awaiting", "done", "members")
 
-    def __init__(self, dag: BlockDag):
-        self.view = PlayerView(dag)
+    def __init__(self, view: PlayerView, members: list[int]):
+        self.view = view
+        self.members = members
         self.deliveries: dict[int, list[int]] = {}
         self.orphans: list[int] = []
         self.due: dict[int, list[int]] = {}
         self.awaiting: list[int] = []
         self.done: set[int] = set()
+
+    def split(self, members: list[int]) -> _Player:
+        """Move ``members`` to a new group that starts as a copy of this one."""
+        other = _Player(self.view.copy(), members)
+        other.deliveries = {r: list(items) for r, items in self.deliveries.items()}
+        other.orphans = list(self.orphans)
+        other.due = {k: list(items) for k, items in self.due.items()}
+        other.awaiting = list(self.awaiting)
+        other.done = set(self.done)
+        self.members = [j for j in self.members if j not in members]
+        return other
 
 
 class _StaleFlags:
@@ -270,6 +287,9 @@ class SimReport:
 class Simulation:
     """One seeded run.  Keeps its dag, views, and ledger for inspection.
 
+    Honest players are simulated per delivery group (``groups``, ordered by
+    lowest member); ``players[j]`` is player j's group.  A group splits
+    when a delivery reaches only some of its members, and never merges.
     ``strategy_obj`` overrides the configured adversary behavior with a
     prebuilt instance (used by tests to script exotic release patterns).
     """
@@ -280,7 +300,8 @@ class Simulation:
         self.params = config.reward_params()
         self.dag = BlockDag()
         self.n = config.players
-        self.players = [_Player(self.dag) for _ in range(self.n)]
+        self.groups = [_Player(PlayerView(self.dag), list(range(self.n)))]
+        self.players = self.groups * self.n
         # The punisher scenario scripts honest-pool players and has no adversary.
         self.script = PunisherScript(config) if config.strategy == "punisher" else None
         self.adv_id: int | None = None if self.script else self.n
@@ -311,7 +332,7 @@ class Simulation:
         self.flags = _StaleFlags(self.dag, self.sidx, honest)
 
         self.ledger = RewardLedger()
-        self._pending: list[tuple[int, int]] = []  # (block, tip) burials this round
+        self._pending: list[tuple[int, int, int]] = []  # (block, tip, players) burials this round
 
         self._seq = 0
         self.mined_round: dict[int, int] = {}
@@ -338,8 +359,24 @@ class Simulation:
 
     # -- delivery plumbing -----------------------------------------------------
 
-    def _queue(self, player: int, round_no: int, ix: int) -> None:
-        self.players[player].deliveries.setdefault(round_no, []).append(ix)
+    def _send(self, ix: int, when) -> None:
+        """Queue ``ix`` to each player j for round ``when(j)`` (None: not at
+        all), splitting every group whose members get it in different rounds.
+        """
+        for group in list(self.groups):
+            parts: dict[int | None, list[int]] = {}
+            for j in group.members:
+                parts.setdefault(when(j), []).append(j)
+            rounds = list(parts)
+            split = [group] + [group.split(parts[r]) for r in rounds[1:]]
+            for part, round_no in zip(split, rounds):
+                if round_no is not None:
+                    part.deliveries.setdefault(round_no, []).append(ix)
+            for part in split[1:]:
+                self.groups.append(part)
+                for j in part.members:
+                    self.players[j] = part
+        self.groups.sort(key=lambda g: g.members[0])  # record order follows the lowest member
 
     def _announce(
         self,
@@ -356,12 +393,12 @@ class Simulation:
         """
         self.announced_round[ix] = round_no
         self._announce_log.setdefault(round_no, []).append(ix)
-        targets = set(recipients) if recipients is not None else None
-        for j in range(self.n):
-            if j in skip:
-                continue
-            when = round_no + 1 if (targets is None or j in targets) else round_no + 2
-            self._queue(j, when, ix)
+        if recipients is None and not skip:  # the common case: no group splits
+            for group in self.groups:
+                group.deliveries.setdefault(round_no + 1, []).append(ix)
+        else:
+            first = set(range(self.n) if recipients is None else recipients)
+            self._send(ix, lambda j: None if j in skip else round_no + 1 + (j not in first))
         self._ingest(self.public_view, self._public_orphans, [ix])
 
     def _broadcast_honest(self, ix: int, owner: int, round_no: int, announce_at: int) -> None:
@@ -370,7 +407,7 @@ class Simulation:
             self._announce(ix, round_no)
         else:
             # Scripted withholding: the owner still sees its block on time.
-            self._queue(owner, round_no + 1, ix)
+            self._send(ix, lambda j: round_no + 1 if j == owner else None)
             self._delayed_public.setdefault(announce_at, []).append((ix, owner))
 
     def _ingest(self, view: PlayerView, orphans: list[int], items: list[int], on_add=None) -> None:
@@ -398,73 +435,67 @@ class Simulation:
             pending = rest
         orphans.extend(pending)
 
-    def _deliver_round(self, pix: int, round_no: int) -> None:
-        player = self.players[pix]
+    def _deliver_round(self, player: _Player, round_no: int) -> None:
         items = player.deliveries.pop(round_no, [])
         if items or player.orphans:
-            self._ingest(player.view, player.orphans, items, partial(self._after_add, pix))
+            self._ingest(player.view, player.orphans, items, partial(self._after_add, player))
 
     # -- finalization scheduling -------------------------------------------------
 
-    def _after_add(self, pix: int, ix: int, event: str, depth: int) -> None:
-        player = self.players[pix]
-        self._schedule(pix, ix)
+    def _after_add(self, player: _Player, ix: int, event: str, depth: int) -> None:
+        self._schedule(player, ix)
         if event == EXTEND:
             fired = player.due.pop(depth, None)
             if fired:
                 for b in fired:
-                    self._fire(pix, b)
+                    self._fire(player, b)
             if player.awaiting:
-                self._recheck_awaiting(pix)
+                self._recheck_awaiting(player)
         elif event == REORG:
-            self._rebucket_after_reorg(pix, depth)
+            self._rebucket_after_reorg(player, depth)
             if player.awaiting:
-                self._recheck_awaiting(pix)
+                self._recheck_awaiting(player)
 
-    def _schedule(self, pix: int, ix: int) -> None:
-        player = self.players[pix]
+    def _schedule(self, player: _Player, ix: int) -> None:
         if ix in player.done:
             return
         dag = self.dag
         meet = dag.lca_ix(player.view.tip, ix)
         need_len = dag.depth_of(meet) + 2 * self.config.p + 2
         if len(player.view.chain) >= need_len:
-            self._fire(pix, ix)
+            self._fire(player, ix)
         else:
             player.due.setdefault(need_len, []).append(ix)
 
-    def _rebucket_after_reorg(self, pix: int, fork_depth: int) -> None:
+    def _rebucket_after_reorg(self, player: _Player, fork_depth: int) -> None:
         # A meet exactly at the fork depth can move deeper when the chain
         # descends into that block's branch, so >= rather than >.
-        player = self.players[pix]
         threshold = fork_depth + 2 * self.config.p + 2
         stale_keys = [k for k in player.due if k >= threshold]
         moved: list[int] = []
         for k in stale_keys:
             moved.extend(player.due.pop(k))
         for ix in moved:
-            self._schedule(pix, ix)
+            self._schedule(player, ix)
         # The new chain may be longer than anything seen; fire matured buckets.
         cur = len(player.view.chain)
         ready = [k for k in player.due if k <= cur]
         for k in sorted(ready):
             for ix in player.due.pop(k):
-                self._fire(pix, ix)
+                self._fire(player, ix)
 
-    def _recheck_awaiting(self, pix: int) -> None:
-        player = self.players[pix]
+    def _recheck_awaiting(self, player: _Player) -> None:
         tip = player.view.tip
         still: list[int] = []
         for ix in player.awaiting:
             if self.dag.in_past_ix(tip, ix):
-                self._schedule(pix, ix)
+                self._schedule(player, ix)
             else:
                 still.append(ix)
         player.awaiting = still
 
-    def _fire(self, pix: int, ix: int) -> None:
-        """Queue ``ix`` for judging if it is truly buried at this player's tip."""
-        player = self.players[pix]
+    def _fire(self, player: _Player, ix: int) -> None:
+        """Queue ``ix`` for judging if it is truly buried at this group's tip."""
         if ix in player.done:
             return
         tip = player.view.tip
@@ -478,34 +509,36 @@ class Simulation:
         if not dag.in_past_ix(tip, ix):
             player.awaiting.append(ix)
             return
-        self._pending.append((ix, tip))
+        self._pending.append((ix, tip, len(player.members)))
         player.done.add(ix)
 
     def _judge_pending(self) -> None:
         """Record (first burial) or verify (later ones, with ``check_invariants``)
         the queued burials in order, judging each distinct (tip, block) pair
         once: players mostly bury a block at one tip, and outcomes are fixed.
+        A group's burial counts once per member: a record, then verifies.
         """
         pending, self._pending = self._pending, []
         dag, ledger = self.dag, self.ledger
         if not self.config.check_invariants:  # judge only what is recorded
             first: dict[int, int] = {}
-            for ix, tip in pending:
+            for ix, tip, _ in pending:
                 first.setdefault(ix, tip)
-            pending = [(ix, t) for ix, t in first.items() if dag.id_at(ix) not in ledger.entries]
-        outcome: dict[tuple[int, int], BlockReward] = dict.fromkeys(pending)
+            pending = [(ix, t, 1) for ix, t in first.items() if dag.id_at(ix) not in ledger.entries]
+        outcome: dict[tuple[int, int], BlockReward] = {(ix, tip): None for ix, tip, _ in pending}
         by_tip: dict[int, list[int]] = {}
         for ix, tip in outcome:
             by_tip.setdefault(tip, []).append(ix)
         for tip, subjects in by_tip.items():
             outcomes = judge(dag, self.sidx, tip, subjects, self.params)
             outcome.update(zip([(ix, tip) for ix in subjects], outcomes))
-        for ix, tip in pending:
+        for ix, tip, count in pending:
             bid = dag.id_at(ix)
-            if bid in ledger.entries:
-                ledger.verify(bid, outcome[ix, tip])
-            else:
+            if bid not in ledger.entries:
                 ledger.record(bid, dag.miner_of(ix), outcome[ix, tip], dag.id_at(tip), self._round)
+                count -= 1
+            for _ in range(count):
+                ledger.verify(bid, outcome[ix, tip])
 
     # -- mining phases ---------------------------------------------------------
 
@@ -558,14 +591,14 @@ class Simulation:
         self._weights = cfg.weight_vector()
         horizon = 4 * cfg.p
         self._round = 0
-        for pix in range(self.n):
-            self._schedule(pix, 0)  # genesis finalizes once buried like any block
+        for group in self.groups:
+            self._schedule(group, 0)  # genesis finalizes once buried like any block
         for r in range(1, cfg.rounds + 1):
             self._round = r
-            for j in range(self.n):
-                self._deliver_round(j, r)
-                if self.flags(self.players[j].view.tip):
-                    self.honest_stale_events += 1
+            for group in self.groups:
+                self._deliver_round(group, r)
+                if self.flags(group.view.tip):
+                    self.honest_stale_events += len(group.members)
             self._judge_pending()
             if self.script is not None:
                 self.script.observe(r, self.dag, [pl.view for pl in self.players])
@@ -573,11 +606,11 @@ class Simulation:
             # Inclusion deadline check for blocks announced 4p rounds ago.
             batch = self._announce_log.pop(r - horizon, None)
             if batch:
+                self.inclusion_checked += len(batch) * self.n
                 for ix in batch:
-                    for j in range(self.n):
-                        self.inclusion_checked += 1
-                        if not self.dag.in_past_ix(self.players[j].view.tip, ix):
-                            self.inclusion_missed += 1
+                    for group in self.groups:
+                        if not self.dag.in_past_ix(group.view.tip, ix):
+                            self.inclusion_missed += len(group.members)
 
             adv_new = self._adversary_mine(r)
             honest_new = self._honest_mine(r)
@@ -701,10 +734,7 @@ class Simulation:
             m = dag.miner_of(ix)
             stale_by[m] = stale_by.get(m, 0) + 1
 
-        never_referenced = 0
-        for ix in range(1, len(dag)):
-            if not dag.in_past_ix(tip_ix, ix):
-                never_referenced += 1
+        never_referenced = len(dag) - dag.past_size(tip_ix)  # past(tip) holds genesis and the tip
 
         miner_ids = list(range(self.n)) + ([self.adv_id] if self.adv_id is not None else [])
         miners = {}

@@ -53,6 +53,15 @@ class PlayerView:
         self.w: dict[int, int] = {}
         self.tips: set[int] = {0}
 
+    def copy(self) -> PlayerView:
+        """An independent view of the same knowledge and chain."""
+        other = PlayerView(self.dag)
+        other.known, other.kcount, other.tips = set(self.known), self.kcount, set(self.tips)
+        other.vchildren = {ix: list(kids) for ix, kids in self.vchildren.items()}
+        other.chain, other.cpos, other.offw = list(self.chain), dict(self.cpos), list(self.offw)
+        other.off_sum, other.w = self.off_sum, dict(self.w)
+        return other
+
     @property
     def tip(self) -> int:
         return self.chain[-1]

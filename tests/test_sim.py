@@ -9,6 +9,7 @@ from dagsim.errors import ConfigInvalid, FinalityViolation
 from dagsim.oracles import main_chain_traversal
 from dagsim.rewards import RewardLedger, finalize
 from dagsim.sim import SimConfig, Simulation, run_sweep
+from dagsim.strategies import Release, Strategy
 
 
 def small(**kw):
@@ -281,42 +282,54 @@ class TestWithheldBlocksGoStale:
         assert rep.staleness["honest_stale_events"] == 0
 
 
+class Probe(Strategy):
+    """Mines on its whole view and releases each block at once to ``subset(round)``."""
+
+    name = "withhold"
+
+    def __init__(self, subset=lambda round_no: (0,)):
+        self.subset = subset
+        self.pending = []
+
+    def plan_refs(self):
+        view = self.ctx.adv_view
+        ids = self.ctx.dag._ids
+        return [ids[j] for j in view.sorted_tips()], ids[view.tip]
+
+    def on_mined(self, ix, round_no):
+        self.pending.append(ix)
+
+    def releases(self, round_no, honest_new):
+        out = [Release(ix, recipients=self.subset(round_no)) for ix in self.pending]
+        self.pending = []
+        return out
+
+
+def varying_subset(round_no):
+    return tuple(j for j in range(5) if round_no % (j + 2) == 0)
+
+
+def subset_release_sim():
+    """Five players, releases to a different subset (sometimes none) each round."""
+    cfg = SimConfig(**{**GOLDEN_BASE, "strategy": "withhold"})
+    return Simulation(cfg, strategy_obj=Probe(varying_subset))
+
+
 class TestSubsetRelease:
     def test_partial_send_delays_others_one_round(self):
-        from dagsim.strategies import Release, Strategy
-
         seen_at = {0: {}, 1: {}}
-
-        class Probe(Strategy):
-            name = "withhold"
-
-            def __init__(self):
-                self.pending = []
-
-            def plan_refs(self):
-                view = self.ctx.adv_view
-                ids = self.ctx.dag._ids
-                return [ids[j] for j in view.sorted_tips()], ids[view.tip]
-
-            def on_mined(self, ix, round_no):
-                self.pending.append(ix)
-
-            def releases(self, round_no, honest_new):
-                out = [Release(ix, recipients=(0,)) for ix in self.pending]
-                self.pending = []
-                return out
-
         cfg = SimConfig(alpha=0.4, beta=0.15, players=2, p=4,
                         rounds=80, seed=3, strategy="withhold", valuation=False)
         sim = Simulation(cfg, strategy_obj=Probe())
 
         orig_deliver = sim._deliver_round
 
-        def spy(pix, round_no):
-            before = set(sim.players[pix].view.known)
-            orig_deliver(pix, round_no)
-            for ix in sim.players[pix].view.known - before:
-                seen_at[pix][ix] = round_no
+        def spy(group, round_no):
+            before = set(group.view.known)
+            orig_deliver(group, round_no)
+            for ix in group.view.known - before:
+                for pix in group.members:
+                    seen_at[pix][ix] = round_no
 
         sim._deliver_round = spy
         sim.run()
@@ -328,6 +341,31 @@ class TestSubsetRelease:
             if ix in seen_at[0] and ix in seen_at[1]:
                 assert seen_at[0][ix] == release + 1
                 assert seen_at[1][ix] == release + 2
+
+    def test_varying_subsets_report_hash_pinned(self):
+        # Measured before players shared views by delivery group.
+        digest = "ba850613d208f1b4c0b5910a048c6d275a1c64013224f57931470c412ae52a29"
+        assert sha256(subset_release_sim().run().to_json()) == digest
+
+
+class TestDeliveryGroups:
+    @pytest.mark.parametrize("overrides", [
+        dict(strategy="honest"), dict(strategy="withhold", withhold_k=2),
+        dict(strategy="selfish"), dict(strategy="no_reference"),
+    ], ids=lambda o: o["strategy"])
+    def test_builtin_strategies_keep_one_group(self, overrides):
+        sim = Simulation(small(beta=0.1, players=5, **overrides))
+        sim.run()
+        assert len(sim.groups) == 1
+        assert all(player is sim.groups[0] for player in sim.players)
+
+    def test_diverging_deliveries_split_groups(self):
+        for sim in (subset_release_sim(), golden_sim("punisher_triggered")[0]):
+            sim.run()
+            assert len(sim.groups) > 1
+            members = sorted(j for group in sim.groups for j in group.members)
+            assert members == list(range(sim.n))
+            assert all(j in sim.players[j].members for j in range(sim.n))
 
 
 class TestSweep:
